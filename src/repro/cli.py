@@ -26,7 +26,7 @@ Subcommands:
   a canned paper-figure sweep (see docs/resilience.md).
 
 ``run`` carries the resilience layer's flags (see docs/resilience.md):
-``--supervise``, ``--watchdog-budget``, ``--checkpoint-dir`` /
+``--supervise``, ``--checkpoint-dir`` /
 ``--checkpoint-every`` / ``--resume``, ``--max-wall-seconds``, and the
 fault-injection harness ``--inject-faults`` — plus the observability
 flags (docs/observability.md): ``--status-file``/``--status-port``
@@ -163,14 +163,12 @@ def _setup_resilience(args, sim, meta):
     """Wire the resilience layer onto a built simulator from run
     flags."""
     from repro.resilience import Checkpointer, FaultPlan, Supervisor
-    if args.watchdog_budget:
-        sim.backend.watchdog_budget = args.watchdog_budget
     if getattr(args, "pool_size", None):
         sim.backend.pool_size = args.pool_size
     if getattr(args, "heartbeat_budget", None):
         sim.backend.heartbeat_budget_s = args.heartbeat_budget
     if args.inject_faults:
-        sim.backend.fault_plan = FaultPlan.parse(args.inject_faults)
+        FaultPlan.parse(args.inject_faults).install(sim.backend)
     if args.supervise or args.inject_faults:
         Supervisor(sim,
                    max_retries=sim.config.boundweave.recovery_max_retries)
@@ -797,11 +795,6 @@ def build_parser():
                      help="supervised execution: recover from backend "
                           "faults by replaying the interval serially "
                           "(implied by --inject-faults)")
-    run.add_argument("--watchdog-budget", type=float, default=None,
-                     metavar="SECONDS",
-                     help="seconds of no worker progress before a pass "
-                          "raises WatchdogTimeout (overrides "
-                          "boundweave.watchdog_budget_s)")
     run.add_argument("--checkpoint-dir", default=None, metavar="DIR",
                      help="write interval checkpoints to DIR")
     run.add_argument("--checkpoint-every", type=int, default=1,
@@ -818,7 +811,7 @@ def build_parser():
                           "is set" % EXIT_WALL_BUDGET)
     run.add_argument("--inject-faults", default=None, metavar="PLAN",
                      help="deterministic fault plan, e.g. "
-                          "'kill@3:w0;corrupt@5:d1' (see "
+                          "'sigkill@3:w0;corrupt@5:d1' (see "
                           "docs/resilience.md); enables supervision")
     run.add_argument("--audit-every", type=int, default=None,
                      metavar="N",

@@ -148,12 +148,8 @@ class BoundWeaveConfig:
     #: Execution backend: how the engine runs on the host (see
     #: repro.exec).  All backends produce identical simulated results.
     backend: str = "serial"
-    #: Watchdog: seconds of no worker progress before a pass raises a
-    #: typed WatchdogTimeout (see repro.resilience).  0 disables.
-    watchdog_budget_s: float = 0.0
     #: Supervisor: consecutive faulted intervals tolerated before the
-    #: run degrades down the backend ladder (process -> parallel ->
-    #: serial); on serial it falls back permanently.
+    #: run falls back to the serial backend permanently.
     recovery_max_retries: int = 3
     #: Process backend: OS worker processes forked per interval.
     #: 0 = auto (host CPU count minus one, capped by host_threads).
@@ -222,12 +218,9 @@ class SystemConfig:
                 cache.num_sets  # raises if geometry is inconsistent
         if self.boundweave.interval_cycles < 10:
             raise ConfigError("Interval too short")
-        if self.boundweave.backend not in ("serial", "parallel",
-                                           "pipelined", "process"):
+        if self.boundweave.backend not in ("serial", "process"):
             raise ConfigError("Unknown execution backend: %r"
                               % (self.boundweave.backend,))
-        if self.boundweave.watchdog_budget_s < 0:
-            raise ConfigError("watchdog_budget_s must be >= 0")
         if self.boundweave.recovery_max_retries < 1:
             raise ConfigError("recovery_max_retries must be >= 1")
         if self.boundweave.process_workers < 0:

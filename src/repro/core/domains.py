@@ -28,9 +28,9 @@ class Domain:
         self.crossing_requeues = 0
         #: Horizon invariant floor: within one interval, every push lands
         #: at or above the cycle of the pop that caused it, so per-domain
-        #: pops are nondecreasing in *every* legal execution (serial
-        #: earliest-first, parallel batches, sync steps).  A pop below
-        #: the floor means a corrupt timestamp or a broken executor.
+        #: pops are nondecreasing in *every* legal execution.  A pop
+        #: below the floor means a corrupt timestamp or a broken
+        #: executor.
         self._pop_floor = None
 
     def push(self, cycle, item):
@@ -54,12 +54,6 @@ class Domain:
 
     def head_cycle(self):
         return self._queue[0][0] if self._queue else None
-
-    def head_item(self):
-        """Peek the earliest queued item without popping (execution
-        backends use this to decide whether the head is independently
-        executable or a domain-crossing synchronization point)."""
-        return self._queue[0][2] if self._queue else None
 
     def __len__(self):
         return len(self._queue)

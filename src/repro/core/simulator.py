@@ -21,7 +21,7 @@ from repro.errors import (CheckpointError, DeadlockError, RunInterrupted,
 from repro.core.host import HostModel
 from repro.core.weave import WeaveEngine
 from repro.cpu import make_core
-from repro.exec import make_backend
+from repro.exec import BACKEND_NAMES, make_backend
 from repro.exec.backend import ExecutionBackend
 from repro.memory.contention import MD1Model
 from repro.memory.dramsim import DRAMSimWeave
@@ -289,8 +289,8 @@ class ZSim:
                 mlp_window=mlp_window, telemetry=telemetry)
         self.host_model = HostModel(host_threads)
         # Execution backend: how bound passes and weave intervals run on
-        # the host (serial reference, worker pool, or two-stage
-        # pipeline).  None defers to config.boundweave.backend.
+        # the host (serial reference or forked worker processes).  None
+        # defers to config.boundweave.backend.
         if backend is None:
             backend = getattr(bw, "backend", "serial") or "serial"
         if isinstance(backend, str):
@@ -301,8 +301,6 @@ class ZSim:
         self.backend = backend
         self.backend.start(self)
         self.host_model.backend_name = self.backend.name
-        if getattr(bw, "watchdog_budget_s", 0.0):
-            self.backend.watchdog_budget = bw.watchdog_budget_s
         #: Flight recorder (see repro.obs.flight): an always-on bounded
         #: ring of run events, frozen into a post-mortem capsule on any
         #: crash.  Default-on because its per-event cost is a deque
@@ -725,14 +723,17 @@ class ZSim:
             saved_thread.stream.resume_source(fresh.stream._stream)
         if backend is None:
             backend = capsule.get("backend") or "serial"
+            if backend not in BACKEND_NAMES:
+                # Written by a since-retired backend.  Backends never
+                # change simulated results, so serial resumes it exactly.
+                _log.warning("checkpoint was written by the retired %r "
+                             "backend; resuming on serial", backend)
+                backend = "serial"
         if isinstance(backend, str):
             backend = make_backend(backend)
         sim.backend = backend
         backend.start(sim)
         sim.host_model.backend_name = backend.name
-        bw = sim.config.boundweave
-        if getattr(bw, "watchdog_budget_s", 0.0):
-            backend.watchdog_budget = bw.watchdog_budget_s
         if telemetry is not None:
             sim.attach_telemetry(telemetry)
         # Checkpoints detach the host-side observers (see

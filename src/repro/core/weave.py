@@ -92,11 +92,11 @@ class WeaveEngine:
         (issue_cycle, AccessResult).  Returns {core_id: delay}.
 
         ``executor`` — a callable taking the built event list — replaces
-        *how* the event graph executes (an execution backend's parallel
-        drain); ``None`` uses the engine's earliest-first reference
-        executor.  Any executor must produce the same per-component
-        ``occupy`` order as the reference, which is the order simulated
-        timing depends on."""
+        *how* the event graph executes (the process backend's
+        fault-injecting drain); ``None`` uses the engine's
+        earliest-first reference executor.  Any executor must produce
+        the same per-component ``occupy`` order as the reference, which
+        is the order simulated timing depends on."""
         self.stats.intervals += 1
         telem = self._telem
         start = time.perf_counter() if telem is not None else 0.0

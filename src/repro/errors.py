@@ -7,26 +7,17 @@ bare ``RuntimeError`` whose only payload is its message.  The split that
 matters operationally:
 
 * :class:`ExecutionFault` — something went wrong *executing* an interval
-  (a worker died, stalled past the watchdog budget, or tripped the weave
-  horizon invariant).  Interval barriers are consistent global states,
-  so these are **recoverable**: the resilience supervisor re-runs the
-  interval on the serial backend from the interval-boundary snapshot
-  (see :mod:`repro.resilience`).
+  (the process pool failed, the weave horizon invariant tripped, or the
+  integrity sentinel caught silent corruption).  Interval barriers are
+  consistent global states, so these are **recoverable**: the
+  resilience supervisor re-runs the interval on the serial backend
+  from the interval-boundary snapshot (see :mod:`repro.resilience`).
 * Everything else — deadlocked simulated threads, bad configs, corrupt
   checkpoints, an exhausted wall-clock budget — is a property of the
   simulation itself and is never retried.
 """
 
 from __future__ import annotations
-
-import traceback
-
-
-def format_cause(exc):
-    """Render an exception's full traceback, for embedding in a
-    :class:`WorkerFailure` raised on a different thread."""
-    return "".join(traceback.format_exception(type(exc), exc,
-                                              exc.__traceback__))
 
 
 class SimulationError(RuntimeError):
@@ -65,33 +56,11 @@ class ExecutionFault(SimulationError):
     def __init__(self, message, phase=None, interval=None, worker=None,
                  core=None, domain=None):
         super().__init__(message)
-        self.phase = phase          # "bound" | "weave" | "weave-stage"
+        self.phase = phase          # "bound" | "weave" | "audit" | ...
         self.interval = interval    # 1-based interval number
         self.worker = worker        # pool worker index (if known)
         self.core = core            # offending core id (bound jobs)
         self.domain = domain        # offending weave domain id
-
-
-class WorkerFailure(ExecutionFault):
-    """A pool worker's job raised.  ``__cause__`` is the original
-    exception (raised with ``raise ... from``), ``traceback_text`` its
-    rendered traceback at the point of failure."""
-
-    def __init__(self, message, traceback_text="", **ctx):
-        super().__init__(message, **ctx)
-        self.traceback_text = traceback_text
-
-
-class WatchdogTimeout(ExecutionFault):
-    """No worker completed a job within the watchdog budget: a worker
-    is stalled (or was killed) and the pass cannot finish."""
-
-    def __init__(self, message, budget_s=None, completed=None,
-                 pending=None, **ctx):
-        super().__init__(message, **ctx)
-        self.budget_s = budget_s
-        self.completed = completed
-        self.pending = pending
 
 
 class HorizonViolation(ExecutionFault):
@@ -139,7 +108,7 @@ class ProcessPoolError(ExecutionFault):
     replay diverged from its validated prefix.  Individual worker
     deaths never raise this — they degrade to inline execution — so
     when it does surface, the supervisor's degradation ladder demotes
-    the backend a rung (process -> parallel -> serial)."""
+    the run to the serial backend."""
 
 
 class WallClockExceeded(SimulationError):

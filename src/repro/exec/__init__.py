@@ -5,29 +5,23 @@ The engine layers split "what to run" from "how to run it":
 * :mod:`repro.core.bound` and :mod:`repro.core.weave` produce the work —
   bound-phase core runs in barrier wake order, and the weave-phase event
   graph partitioned into domains.
-* An :class:`ExecutionBackend` owns the host resources (worker threads,
-  queues, handoff discipline) that execute that work.
+* An :class:`ExecutionBackend` owns the host resources (worker
+  processes, pipes) that execute that work.
 
-Three backends ship:
+Two backends ship:
 
-* :class:`SerialBackend` — the default; runs everything inline on the
-  calling thread, bit-identical to the engine before backends existed.
-* :class:`ParallelBackend` — a worker pool of up to
-  ``boundweave.host_threads`` threads.  Bound-phase cores are dispatched
-  to workers through bounded per-worker queues with an ordered ticket
-  handoff; weave domains execute concurrently on per-domain workers for
-  provably independent event batches, synchronizing only at
-  domain-crossing events.
-* :class:`PipelinedBackend` — a two-stage pipeline: the bound phase runs
-  on the driver thread while a dedicated weave-stage thread consumes
-  intervals from a bounded queue (the paper's stated future work, modeled
-  by ``HostModel.pipelined_*``).
+* :class:`SerialBackend` — the default and the reference; runs
+  everything inline on the calling thread.
 * :class:`ProcessBackend` — crash-tolerant speculation on real OS worker
   processes forked at the interval barrier: workers speculate bound-phase
   core runs against a copy-on-write replica, the driver validates the
   recorded accesses against the authoritative hierarchy and commits (or
   re-runs inline); a worker dying mid-interval can only cost wasted
   speculation, never corrupted state.
+
+There are no thread backends: under the GIL a worker-thread pool runs
+slower than the serial loop, so host-thread scaling (the paper's Fig. 8)
+comes from the analytic :class:`~repro.core.host.HostModel` instead.
 
 The cardinal invariant (the ZSim property the equivalence suite pins):
 backends may change *wall time*, never *simulated results*.  For one
@@ -37,25 +31,20 @@ per-core stats, and weave delays as :class:`SerialBackend`.
 
 from repro.errors import ConfigError
 from repro.exec.backend import ExecutionBackend
-from repro.exec.parallel import ParallelBackend
-from repro.exec.pipelined import PipelinedBackend
 from repro.exec.process import ProcessBackend
 from repro.exec.serial import SerialBackend
 
 #: Valid names for ``--backend`` / ``config.boundweave.backend``.
-BACKEND_NAMES = ("serial", "parallel", "pipelined", "process")
+BACKEND_NAMES = ("serial", "process")
 
 _BACKENDS = {
     "serial": SerialBackend,
-    "parallel": ParallelBackend,
-    "pipelined": PipelinedBackend,
     "process": ProcessBackend,
 }
 
 
 def make_backend(name, host_threads=None):
-    """Instantiate a backend by name (``serial``/``parallel``/
-    ``pipelined``/``process``); raises
+    """Instantiate a backend by name (``serial``/``process``); raises
     :class:`~repro.errors.ConfigError` (a ValueError subclass) for
     unknown names."""
     try:
@@ -69,8 +58,6 @@ def make_backend(name, host_threads=None):
 __all__ = [
     "BACKEND_NAMES",
     "ExecutionBackend",
-    "ParallelBackend",
-    "PipelinedBackend",
     "ProcessBackend",
     "SerialBackend",
     "make_backend",

@@ -7,41 +7,28 @@ A backend executes the work the engine layers describe:
   after another in that order: cores share the scheduler and the memory
   hierarchy, so the observable effect order is part of the simulated
   semantics (it determines cache replacement state, futex handoffs, and
-  ultimately cycles).  Backends are free to use worker threads as long
-  as they preserve that effect order.
+  ultimately cycles).  Backends are free to speculate on worker
+  processes as long as the committed effects keep that order.
 * ``run_weave`` — one weave-phase interval.  The reference semantics is
-  the engine's earliest-first cooperative executor; backends may run
-  domains concurrently wherever the event graph proves independence.
+  the engine's earliest-first cooperative executor.
 
 Lifecycle: ``start(sim)`` is called once when a :class:`~repro.core.ZSim`
-adopts the backend, ``shutdown()`` when a run finishes (worker threads
-must not leak across runs; backends restart lazily if reused).
+adopts the backend, ``shutdown()`` when a run finishes (worker
+processes must not leak across runs; backends restart lazily if
+reused).
 
 ``sample_idle(metrics)`` is called once per interval when telemetry is
 attached so backends with real workers can report measured idle time
 (``exec.worker_idle_us``) instead of the serial backend's apportioned
 spans.
 
-Supervision hooks (see :mod:`repro.resilience`): ``watchdog_budget``
-bounds how long a backend waits for worker progress before raising a
-typed :class:`~repro.errors.WatchdogTimeout`; ``fault_plan`` lets the
-deterministic fault-injection harness wrap dispatched jobs; ``recover()``
-invalidates in-flight work (via the pool epoch) and abandons a poisoned
-pool so a degraded re-run can proceed with fresh workers.
+Supervision hooks (see :mod:`repro.resilience`): ``fault_plan`` is the
+deterministic fault-injection harness, consulted at the seams named in
+``fault_seams``; ``recover()`` abandons in-flight work after an
+execution fault so a degraded re-run can proceed.
 """
 
 from __future__ import annotations
-
-
-class WorkerKilled(BaseException):
-    """Injected crash (fault harness): the worker thread exits without
-    completing its job — simulating a died-without-a-trace worker.
-    Deliberately a BaseException so normal handlers cannot swallow it."""
-
-
-class PassAborted(Exception):
-    """Raised in jobs parked on an aborted turnstile after a watchdog
-    timeout: the pass is being torn down, the job's work never ran."""
 
 
 class ExecutionBackend:
@@ -50,19 +37,21 @@ class ExecutionBackend:
     #: Short name used by ``--backend`` and stats reporting.
     name = "abstract"
 
-    #: Seconds of no worker progress before a pass raises
-    #: :class:`~repro.errors.WatchdogTimeout`; None waits forever.
-    watchdog_budget = None
-
-    #: Optional :class:`repro.resilience.FaultPlan` consulted at job
-    #: dispatch (test/CI harness only; None in production runs).
+    #: Optional :class:`repro.resilience.FaultPlan` (test/CI harness
+    #: only; None in production runs).
     fault_plan = None
+
+    #: Fault-plan seams this backend consults (see
+    #: :meth:`repro.resilience.FaultPlan.install`).  The simulator runs
+    #: the ``scribble`` seam between the phases of every interval, on
+    #: every backend.
+    fault_seams = frozenset({"scribble"})
 
     # -- lifecycle -----------------------------------------------------
 
     def start(self, sim):
         """Adopt a simulator.  Called from ``ZSim.__init__``; resource
-        allocation (worker threads) should stay lazy so unused backends
+        allocation (worker processes) should stay lazy so unused backends
         cost nothing.  Subclasses overriding this should call
         ``super().start(sim)`` (or set ``self._sim``) so observability
         hooks can reach the simulator's flight recorder."""
@@ -75,19 +64,13 @@ class ExecutionBackend:
         return getattr(getattr(self, "_sim", None), "flight", None)
 
     def shutdown(self):
-        """Release host resources (join worker threads).  Idempotent;
+        """Release host resources (reap worker processes).  Idempotent;
         a backend may be restarted lazily after shutdown."""
 
-    def pool_epoch(self):
-        """Monotonic pool generation.  Jobs dispatched under an older
-        epoch are stale: workers drop them on arrival, and fault
-        wrappers stop stalling when the epoch moves on."""
-        return getattr(self, "_epoch", 0)
-
     def recover(self):
-        """Invalidate in-flight work and abandon the worker pool after
-        an execution fault (workers may be stalled or dead); the next
-        pass lazily builds a fresh pool.  Default: plain shutdown."""
+        """Abandon in-flight work after an execution fault (workers may
+        be stalled or dead); the next pass lazily builds a fresh pool.
+        Default: plain shutdown."""
         self.shutdown()
 
     # -- bound phase ---------------------------------------------------

@@ -1,7 +1,7 @@
 """The process backend: crash-tolerant speculation on OS worker processes.
 
-The thread backends are GIL-bound and share one address space: a worker
-that segfaults, gets OOM-killed, or is SIGKILLed by the host takes the
+Threads would be GIL-bound and share one address space: a worker that
+segfaults, gets OOM-killed, or is SIGKILLed by the host would take the
 whole run with it.  This backend puts bound-phase work in *real
 processes*, forked at the interval barrier, so a dying worker can cost
 at most wasted speculation — never corrupted simulator state.
@@ -39,8 +39,7 @@ simulated results may not):
   dropped — at the next pass.  Systemic failure (fork errors or the
   whole pool dying repeatedly) raises a typed
   :class:`~repro.errors.ProcessPoolError`, which the resilience
-  supervisor's degradation ladder turns into a demotion:
-  process -> parallel (threads) -> serial.
+  supervisor's degradation ladder turns into a demotion to serial.
 
 The weave phase runs inline on the driver: weave events hold live
 component references (not picklable without an event IR) and the
@@ -191,11 +190,12 @@ class ProcessBackend(ExecutionBackend):
     module docs)."""
 
     name = "process"
+    fault_seams = frozenset({"scribble", "weave-queue", "process"})
 
     def __init__(self, host_threads=None, workers=None,
                  heartbeat_budget_s=None):
         # ``host_threads`` accepted for make_backend() symmetry; it acts
-        # as the pool-size default just like the parallel backend.
+        # as the pool-size default.
         self.pool_size = workers if workers is not None else host_threads
         self.heartbeat_budget_s = heartbeat_budget_s
         self._sim = None
@@ -724,9 +724,8 @@ class ProcessBackend(ExecutionBackend):
     # -- weave phase ---------------------------------------------------
 
     def run_weave(self, weave, traces):
-        """Weave runs inline on the driver (see module docs); the fault
-        plan's queue-corruption seam is honored like the other
-        backends'."""
+        """Weave runs inline on the driver (see module docs), with the
+        fault plan's queue-corruption seam honored."""
         plan = self.fault_plan
         if plan is None:
             return weave.run_interval(traces)
@@ -736,7 +735,8 @@ class ProcessBackend(ExecutionBackend):
 
     def _corrupt_execute(self, weave, events):
         weave.seed_queues(events)
-        self.fault_plan.corrupt(weave, weave.stats.intervals)
+        self.fault_plan.corrupt(weave, weave.stats.intervals,
+                                self._flight())
         weave._drain_earliest_first()
 
     # -- observability -------------------------------------------------

@@ -57,7 +57,7 @@ def _detached(sim):
 
 def capture_state(sim):
     """Pickle the simulator at an interval barrier.  Host-side
-    machinery (backend worker threads, telemetry sinks, the profiler,
+    machinery (backend worker processes, telemetry sinks, the profiler,
     the supervision layer itself) is detached around the dump; the
     returned bytes contain only simulated state."""
     saved = {name: getattr(sim, name, None) for name in _detached(sim)}

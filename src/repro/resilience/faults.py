@@ -1,18 +1,27 @@
 """Deterministic fault injection for the execution backends.
 
 A :class:`FaultPlan` is a seeded, fully deterministic schedule of host
-faults — *worker N dies at interval K*, *the weave stage stalls*, *a
-job outlives the watchdog budget*, *an event timestamp is corrupted so
-the horizon invariant fires*.  Backends consult the plan at two seams:
+faults — *worker process N is SIGKILLed at interval K*, *an event
+timestamp is corrupted so the horizon invariant fires*, *a cache line
+silently vanishes*.  The simulator and backends consult the plan at
+three seams:
 
-* **Job dispatch** (``plan.wrap``): every job handed to a pool worker or
-  the pipeline stage carries a context dict (phase, interval, worker,
-  core, domain).  The first unfired fault whose selectors match wraps
-  the job; each fault fires exactly once.
-* **Queue corruption** (``plan.corrupt``): after an executor seeds the
-  weave queues for an interval, matching :class:`CorruptEvent` faults
-  rewrite one queued timestamp in place — the heap surfaces it out of
-  order and :class:`~repro.errors.HorizonViolation` fires on pop.
+* **Weave-queue corruption** (``plan.corrupt``, the ``weave-queue``
+  seam): after the process backend seeds the weave queues for an
+  interval, matching :class:`CorruptEvent` faults rewrite one queued
+  timestamp in place — the heap surfaces it out of order and
+  :class:`~repro.errors.HorizonViolation` fires on pop.
+* **State scribbling** (``plan.scribble``): between the bound and weave
+  phases of every interval, on every backend, core-selector corrupt
+  faults damage architectural state that only the integrity sentinel
+  can see.
+* **Process signals** (``plan.process_faults``): the process backend
+  delivers SIGKILL/SIGSTOP to a live OS worker right after forking its
+  pool.
+
+:meth:`FaultPlan.install` refuses a plan holding a fault that the
+target backend has no seam for, so an injected fault can never be a
+silent no-op.
 
 Faults simulate *host* failures, never simulated-program behavior, so a
 supervised run that recovers from every injected fault must produce a
@@ -21,22 +30,16 @@ stats tree identical to a fault-free run — that is the property
 
 The plan grammar (CLI ``--inject-faults``) is ``;``-separated entries::
 
-    kind@interval[:selector]...[:seconds]
+    kind@interval[:selector]
 
-    kill@3:w0          kill worker 0 at its first interval-3 job
-    stall@5:w1:0.5     worker 1 hangs (up to 0.5 s) at interval 5
-    delay@6:w0:0.2     worker 0's job sleeps 0.2 s before running
-    raise@2:c1         the job simulating core 1 raises after running
     corrupt@4:d1       corrupt a queued timestamp in weave domain 1
+    corrupt@4          ... in a (seeded-)random weave domain
+    corrupt@4:c2       silently drop a parent's copy of a line core 2's
+                       L1D holds (only ``--audit-every`` can see it)
     sigkill@3:w0       SIGKILL worker process 0 at interval 3
     sigstop@4          SIGSTOP a (seeded-)random worker at interval 4
 
-``sigkill``/``sigstop`` are *real-process* faults: the process backend
-delivers the signal to a live OS worker right after forking its pool
-(``plan.process_faults``); thread backends never match them.
-
-Selectors: ``w<N>`` worker index, ``c<N>`` core id, ``d<N>`` domain id,
-or a literal phase name (``bound``, ``weave``, ``weave-stage``).
+Selectors: ``w<N>`` worker index, ``c<N>`` core id, ``d<N>`` domain id.
 Intervals are 1-based, matching the engine's interval counters.
 """
 
@@ -44,47 +47,26 @@ from __future__ import annotations
 
 import random
 import signal
-import time
 
 from repro.errors import ConfigError
-from repro.exec.backend import WorkerKilled
 
-_PHASES = ("bound", "weave", "weave-stage")
+#: Selector prefix -> Fault attribute.
+_SELECTORS = {"w": "worker", "c": "core", "d": "domain"}
 
 
 class Fault:
-    """One scheduled fault.  Subclasses define ``kind`` and either
-    ``wrap`` (dispatch faults) or ``apply`` (queue-corruption faults)."""
+    """One scheduled fault.  Subclasses define ``kind`` and the
+    ``seam`` (see module docs) that applies them."""
 
     kind = "fault"
-    #: Dispatch faults are consulted by ``plan.wrap``; non-dispatch
-    #: faults (queue corruption) by ``plan.corrupt``.
-    dispatch = True
-    #: Real-process faults (signals to live worker processes) are
-    #: consulted by ``plan.process_faults`` instead of either seam.
-    process = False
+    seam = None
 
-    def __init__(self, interval, worker=None, core=None, domain=None,
-                 phase=None, seconds=None):
+    def __init__(self, interval, worker=None, core=None, domain=None):
         self.interval = interval
         self.worker = worker
         self.core = core
         self.domain = domain
-        self.phase = phase
-        self.seconds = seconds
         self.fired = False
-
-    def matches(self, ctx):
-        if self.fired or ctx.get("interval") != self.interval:
-            return False
-        for key in ("worker", "core", "domain", "phase"):
-            want = getattr(self, key)
-            if want is not None and ctx.get(key) != want:
-                return False
-        return True
-
-    def wrap(self, fn, ctx, backend, epoch):
-        raise NotImplementedError
 
     def describe(self):
         sel = [s for s in ("w%s" % self.worker if self.worker is not None
@@ -92,88 +74,13 @@ class Fault:
                            "c%s" % self.core if self.core is not None
                            else None,
                            "d%s" % self.domain if self.domain is not None
-                           else None,
-                           self.phase) if s]
-        tail = ":".join([""] + sel) if sel else ""
-        if self.seconds is not None:
-            tail += ":%g" % self.seconds
-        return "%s@%d%s" % (self.kind, self.interval, tail)
+                           else None) if s]
+        return "%s@%d%s" % (self.kind, self.interval,
+                            ":".join([""] + sel) if sel else "")
 
     def __repr__(self):
         return "%s(%s%s)" % (type(self).__name__, self.describe(),
                              ", fired" if self.fired else "")
-
-
-class KillWorker(Fault):
-    """The worker dies without a trace: its thread exits without
-    completing the job, so the only symptom is missing progress — the
-    watchdog budget is what surfaces it."""
-
-    kind = "kill"
-
-    def wrap(self, fn, ctx, backend, epoch):
-        def wrapper(worker_index):
-            raise WorkerKilled(
-                "injected: worker %s killed at interval %s (%s)"
-                % (ctx.get("worker"), ctx.get("interval"),
-                   ctx.get("phase")))
-        return wrapper
-
-
-class StallWorker(Fault):
-    """The worker hangs instead of working: it spins until recovery
-    bumps the pool epoch (or ``seconds``/the hard cap elapses).  If no
-    recovery ever comes, the job degrades into a plain delay so an
-    unwatched run stays sound."""
-
-    kind = "stall"
-    HARD_CAP_S = 30.0
-
-    def wrap(self, fn, ctx, backend, epoch):
-        def wrapper(worker_index):
-            deadline = time.perf_counter() + (self.seconds
-                                              or self.HARD_CAP_S)
-            while (backend.pool_epoch() == epoch
-                   and time.perf_counter() < deadline):
-                time.sleep(0.002)
-            if backend.pool_epoch() == epoch:
-                fn(worker_index)
-        return wrapper
-
-
-class DelayJob(Fault):
-    """The job runs late — past the watchdog budget if ``seconds``
-    exceeds it.  After the sleep the job only runs if its epoch is
-    still current; a recovered interval must not be re-mutated by a
-    straggler."""
-
-    kind = "delay"
-    DEFAULT_S = 0.05
-
-    def wrap(self, fn, ctx, backend, epoch):
-        def wrapper(worker_index):
-            time.sleep(self.seconds or self.DEFAULT_S)
-            if backend.pool_epoch() == epoch:
-                fn(worker_index)
-        return wrapper
-
-
-class RaiseInJob(Fault):
-    """The job raises a plain RuntimeError *after* doing its work (so
-    pass-ordering obligations like the bound turnstile are met and the
-    hang-free guarantee holds even unwatched).  State WAS mutated when
-    the error surfaces — exactly the case interval replay must rewind."""
-
-    kind = "raise"
-
-    def wrap(self, fn, ctx, backend, epoch):
-        def wrapper(worker_index):
-            fn(worker_index)
-            raise RuntimeError(
-                "injected failure in %s job (interval %s, worker %s)"
-                % (ctx.get("phase"), ctx.get("interval"),
-                   ctx.get("worker")))
-        return wrapper
 
 
 class CorruptEvent(Fault):
@@ -194,8 +101,11 @@ class CorruptEvent(Fault):
     """
 
     kind = "corrupt"
-    dispatch = False
     DELTA = 1 << 40
+
+    @property
+    def seam(self):
+        return "scribble" if self.core is not None else "weave-queue"
 
     def apply(self, weave, rng):
         domains = list(weave.domains)
@@ -241,8 +151,7 @@ class ProcessSignalFault(Fault):
     the ``w<N>`` selector picks the victim slot, otherwise a seeded
     random worker dies."""
 
-    dispatch = False
-    process = True
+    seam = "process"
     signum = None
 
     def pick_worker(self, num_workers, rng=None):
@@ -272,9 +181,8 @@ class SigStopWorker(ProcessSignalFault):
     signum = signal.SIGSTOP
 
 
-_KINDS = {cls.kind: cls for cls in (KillWorker, StallWorker, DelayJob,
-                                    RaiseInJob, CorruptEvent,
-                                    SigKillWorker, SigStopWorker)}
+_KINDS = {cls.kind: cls for cls in (CorruptEvent, SigKillWorker,
+                                    SigStopWorker)}
 
 
 class FaultPlan:
@@ -302,8 +210,8 @@ class FaultPlan:
         head, sep, rest = part.partition("@")
         if not sep or head not in _KINDS:
             raise ConfigError(
-                "Bad fault spec %r: want kind@interval[:selector...]"
-                "[:seconds] with kind in %s" % (part, sorted(_KINDS)))
+                "Bad fault spec %r: want kind@interval[:selector...] "
+                "with kind in %s" % (part, sorted(_KINDS)))
         fields = rest.split(":")
         try:
             interval = int(fields[0])
@@ -313,52 +221,51 @@ class FaultPlan:
         for field in fields[1:]:
             if not field:
                 continue
-            tag, num = field[0], field[1:]
-            if tag == "w" and num.isdigit():
-                kwargs["worker"] = int(num)
-            elif tag == "c" and num.isdigit():
-                kwargs["core"] = int(num)
-            elif tag == "d" and num.isdigit():
-                kwargs["domain"] = int(num)
-            elif field in _PHASES:
-                kwargs["phase"] = field
-            else:
-                try:
-                    kwargs["seconds"] = float(field)
-                except ValueError:
-                    raise ConfigError(
-                        "Bad fault selector %r in %r" % (field, part))
+            key = _SELECTORS.get(field[0])
+            if key is None or not field[1:].isdigit():
+                raise ConfigError(
+                    "Bad fault selector %r in %r" % (field, part))
+            kwargs[key] = int(field[1:])
         return _KINDS[head](interval, **kwargs)
+
+    def install(self, backend):
+        """Attach the plan to ``backend`` after checking that every
+        fault can fire there: its seam is one the backend consults, and
+        a ``d<N>`` selector names a weave domain of the adopted
+        simulator.  Raises :class:`~repro.errors.ConfigError` naming the
+        faults that never could.  (A supervisor demotion hands an
+        installed plan down without this check: the serial floor is
+        allowed to leave process faults unfired.)"""
+        weave = getattr(getattr(backend, "_sim", None), "weave", None)
+        domains = len(weave.domains) if weave is not None else None
+        dead = [fault.describe() for fault in self.faults
+                if fault.seam not in backend.fault_seams
+                or (fault.domain is not None and domains is not None
+                    and fault.domain >= domains)]
+        if dead:
+            raise ConfigError(
+                "fault(s) %s can never fire on the %s backend (it "
+                "consults the %s seam(s)%s)"
+                % (", ".join(dead), backend.name,
+                   ", ".join(sorted(backend.fault_seams)),
+                   "" if domains is None
+                   else "; the weave has %d domain(s)" % domains))
+        backend.fault_plan = self
+        return self
 
     # -- backend seams -------------------------------------------------
 
-    def wrap(self, fn, ctx, backend, epoch):
-        """Called at job dispatch; returns ``fn``, possibly wrapped by
-        the first unfired matching fault (which is thereby consumed)."""
-        for fault in self.faults:
-            if fault.dispatch and fault.matches(ctx):
-                fault.fired = True
-                flight = getattr(getattr(backend, "_sim", None),
-                                 "flight", None)
-                if flight is not None:
-                    flight.record("fault_injected", fault=fault.kind,
-                                  interval=ctx.get("interval"),
-                                  phase=ctx.get("phase"),
-                                  worker=ctx.get("worker"),
-                                  core=ctx.get("core"),
-                                  domain=ctx.get("domain"))
-                return fault.wrap(fn, ctx, backend, epoch)
-        return fn
-
-    def corrupt(self, weave, interval):
+    def corrupt(self, weave, interval, flight=None):
         """Called after an executor seeds the weave queues.  Core-
         selector corrupt faults are the *silent* flavor and belong to
         the :meth:`scribble` seam, never to a weave queue."""
         for fault in self.faults:
-            if (not fault.dispatch and not fault.process
-                    and not fault.fired and fault.interval == interval
-                    and fault.core is None):
-                fault.apply(weave, self._rng)
+            if (fault.seam == "weave-queue" and not fault.fired
+                    and fault.interval == interval
+                    and fault.apply(weave, self._rng)
+                    and flight is not None):
+                flight.record("fault_injected", fault=fault.kind,
+                              interval=interval, domain=fault.domain)
 
     def scribble(self, sim, interval):
         """Silent state-corruption seam: called by the simulator between
@@ -367,8 +274,7 @@ class FaultPlan:
         architectural state directly — the integrity sentinel is the
         only thing that can detect them."""
         for fault in self.faults:
-            if (isinstance(fault, CorruptEvent)
-                    and fault.core is not None and not fault.fired
+            if (fault.seam == "scribble" and not fault.fired
                     and fault.interval == interval):
                 if fault.apply_state(sim, self._rng):
                     flight = getattr(sim, "flight", None)
@@ -382,7 +288,7 @@ class FaultPlan:
         backend applies them right after forking its pool; the backend
         marks them fired once the signal is delivered)."""
         return [fault for fault in self.faults
-                if fault.process and not fault.fired
+                if fault.seam == "process" and not fault.fired
                 and fault.interval == interval]
 
     @property

@@ -11,8 +11,8 @@ engine guarantees:
    tree is identical to what the faulted backend would have produced.
 
 Per supervised interval: snapshot, execute on the configured backend,
-and on any :class:`~repro.errors.ExecutionFault` (worker death, watchdog
-timeout, horizon violation, process-pool failure) quiesce the backend
+and on any :class:`~repro.errors.ExecutionFault` (horizon violation,
+process-pool failure, integrity violation) quiesce the backend
 (``recover()``), restore the snapshot, and re-run the interval serially.
 
 After a recovery the next few intervals run serially too, with
@@ -22,18 +22,11 @@ eight times the base) so that a periodic external disturbance cannot
 phase-lock with the retry schedule.  The jitter RNG is seeded from the
 engine seed: the schedule is random-looking but reproducible.
 
-``max_retries`` *consecutive* faulted intervals demote the run one rung
-down the **degradation ladder**::
-
-    process -> parallel -> serial
-    pipelined ----------^
-
-Each demotion builds and adopts the next backend (transferring the
-watchdog budget and fault plan) and resets the consecutive-fault
-counter, so a systemically failing process pool degrades to threads
-before giving up on parallelism entirely.  Landing on serial is the
-permanent fallback — serial is the reference semantics and cannot
-execution-fault.
+``max_retries`` *consecutive* faulted intervals demote the run down the
+one-rung **degradation ladder**, ``process -> serial``: the supervisor
+adopts its serial backend (handing it the fault plan) for the rest of
+the run.  Serial is the permanent fallback — it is the reference
+semantics and cannot execution-fault.
 
 **Span mode** (integrity sentinel aboard with auditing on): corruption
 caught by an audit may predate detection by up to the audit stride, so
@@ -64,10 +57,12 @@ from repro.resilience.checkpoint import discard, restore, snapshot
 
 _log = get_logger("resilience.supervisor")
 
-#: One rung down per ``max_retries`` consecutive faults; serial is the
-#: floor (the reference backend cannot execution-fault).
-_LADDER = {"process": "parallel", "parallel": "serial",
-           "pipelined": "serial"}
+def _stamp_interval(fault, sim):
+    """Faults raised below the engine's interval bookkeeping (a weave
+    domain's horizon check) carry no interval; it is the one that was
+    executing."""
+    if fault.interval is None:
+        fault.interval = sim.bound.intervals
 
 
 class Supervisor:
@@ -181,6 +176,7 @@ class Supervisor:
         the whole span serially.  See the module docs for the
         demote-immediately and two-strike escalation rules."""
         sim = self.sim
+        _stamp_interval(fault, sim)
         integrity = isinstance(fault, IntegrityError)
         self._consecutive += 1
         self.recoveries += 1
@@ -277,6 +273,7 @@ class Supervisor:
 
     def _recover(self, fault, payload, limit):
         sim = self.sim
+        _stamp_interval(fault, sim)
         self._consecutive += 1
         self.recoveries += 1
         entry = {
@@ -294,9 +291,6 @@ class Supervisor:
         _log.warning("execution fault (%s) in interval %s: %s — "
                      "rewinding to the interval barrier and replaying "
                      "serially", entry["kind"], entry["interval"], fault)
-        traceback_text = getattr(fault, "traceback_text", "")
-        if traceback_text:
-            _log.debug("worker traceback:\n%s", traceback_text)
         self._note_telemetry(entry)
         flight = getattr(sim, "flight", None)
         if flight is not None:
@@ -313,8 +307,8 @@ class Supervisor:
                          "on the serial backend",
                 worker=entry["worker"], interval=entry["interval"],
                 phase=entry["phase"])
-        # Order matters: quiesce the pool (epoch bump + join/abandon)
-        # BEFORE restoring, so no straggler job mutates rewound state.
+        # Order matters: quiesce the pool BEFORE restoring, so no
+        # straggler worker races the rewound state.
         recover_start = time.perf_counter()
         sim.backend.recover()
         restore(sim, payload)
@@ -334,43 +328,31 @@ class Supervisor:
         return outcome
 
     def _demote(self, interval):
-        """Step one rung down the degradation ladder (see module
-        docs).  Landing on serial is the permanent fallback."""
+        """Fall back to the serial backend for the rest of the run (see
+        module docs)."""
         if self.fallback_permanent:
             return
+        self.fallback_permanent = True
         sim = self.sim
-        cur = sim.backend.name
-        if cur == "serial":
+        old = sim.backend
+        if old is self._serial or old.name == "serial":
             # Already at the floor (faults can still reach us here via
-            # queue corruption); just stop snapshotting.
-            self.fallback_permanent = True
+            # the scribble seam); just stop snapshotting.
             return
-        nxt = _LADDER.get(cur, "serial")
         self.demotions.append({"interval": interval,
-                               "from": cur, "to": nxt})
+                               "from": old.name, "to": "serial"})
         flight = getattr(sim, "flight", None)
         if flight is not None:
             flight.record("demotion", interval=interval,
-                          from_backend=cur, to_backend=nxt,
+                          from_backend=old.name, to_backend="serial",
                           consecutive=self._consecutive)
         _log.warning("%d consecutive faulted intervals on the %s "
-                     "backend: degrading to %s",
-                     self._consecutive, cur, nxt)
-        old = sim.backend
-        if nxt == "serial":
-            new = self._serial
-            self.fallback_permanent = True
-        else:
-            from repro.exec import make_backend
-            new = make_backend(
-                nxt, host_threads=sim.config.boundweave.host_threads)
-            new.start(sim)
-        new.watchdog_budget = old.watchdog_budget
-        new.fault_plan = old.fault_plan
+                     "backend: degrading to serial",
+                     self._consecutive, old.name)
+        self._serial.fault_plan = old.fault_plan
         old.shutdown()
-        sim.backend = new
-        sim.host_model.backend_name = new.name
-        # The new rung gets a fresh fault budget and jitter sequence.
+        sim.backend = self._serial
+        sim.host_model.backend_name = "serial"
         self._consecutive = 0
         self._jitter.reset()
 

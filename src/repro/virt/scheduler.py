@@ -9,18 +9,12 @@ the interval barrier (their core can run another thread or idle) and
 All decisions are made in simulated (bound-phase) cycles, so scheduling
 is deterministic for a given workload and configuration.
 
-Execution backends may run bound-phase cores on worker threads (see
-:mod:`repro.exec`); every mutating entry point therefore takes the
-scheduler lock so a thread handoff (syscall, wake, preemption,
-deschedule) is atomic even when the caller is not the engine's driver
-thread.  The backends' ordered core handoff keeps the *order* of these
-calls serial-equivalent; the lock keeps each call internally consistent
-on free-threaded hosts.
+Only the engine's driver thread calls in: process-backend workers
+run on forked copies and never reach this scheduler (see
+:mod:`repro.exec`).
 """
 
 from __future__ import annotations
-
-import threading
 
 from collections import deque
 
@@ -30,18 +24,6 @@ from repro.virt.process import SimThread, ThreadState
 from repro.virt import syscalls as sc
 
 _log = get_logger("virt.scheduler")
-
-
-def _locked(method):
-    """Run a scheduler entry point under the scheduler lock (see module
-    docs: backends may call in from worker threads)."""
-    import functools
-
-    @functools.wraps(method)
-    def wrapper(self, *args, **kwargs):
-        with self._lock:
-            return method(self, *args, **kwargs)
-    return wrapper
 
 
 class SyscallResult:
@@ -57,9 +39,6 @@ class Scheduler:
                  system_view=None, telemetry=None):
         self.num_cores = num_cores
         self._telem = telemetry
-        # Reentrant: handle_syscall wakes waiters, which re-enter
-        # internal helpers under the same lock.
-        self._lock = threading.RLock()
         self.quantum = quantum
         self.syscall_overhead = syscall_overhead
         #: Optional SystemView serving virtualized /proc reads.
@@ -86,28 +65,27 @@ class Scheduler:
     # ------------------------------------------------------------------
 
     def __getstate__(self):
-        """Scheduler state is plain data except the lock (a host-side
-        artifact) and the telemetry context; both are dropped and
-        recreated/reattached on load (see repro.resilience)."""
+        """Scheduler state is plain data except the telemetry context,
+        which is dropped and reattached on load (see
+        repro.resilience)."""
         state = self.__dict__.copy()
-        state["_lock"] = None
         state["_telem"] = None
         return state
 
     def __setstate__(self, state):
+        # Capsules from older builds carry a dead ``_lock`` slot.
+        state.pop("_lock", None)
         self.__dict__.update(state)
-        self._lock = threading.RLock()
 
     def blocked_report(self):
         """Per-thread blocked-state snapshot for diagnostics (deadlock
         errors, supervisor logs): one dict per live thread."""
-        with self._lock:
-            return [{"thread": t.name, "state": t.state,
-                     "core": t.core, "home_core": t.home_core,
-                     "wake_cycle": t.wake_cycle,
-                     "blocked_count": t.blocked_count,
-                     "syscalls": t.syscall_count}
-                    for t in self.live_threads]
+        return [{"thread": t.name, "state": t.state,
+                 "core": t.core, "home_core": t.home_core,
+                 "wake_cycle": t.wake_cycle,
+                 "blocked_count": t.blocked_count,
+                 "syscalls": t.syscall_count}
+                for t in self.live_threads]
 
     def integrity_items(self):
         """Digest items for the integrity sentinel (called at the
@@ -145,35 +123,33 @@ class Scheduler:
         ``pick_thread`` skips them — so thread states are not
         policed)."""
         violations = []
-        with self._lock:
-            on_core = {}
-            for core_id, thread in enumerate(self._running):
-                if thread is None:
-                    continue
-                if id(thread) in on_core:
-                    violations.append(
-                        ("sched", "thread %s is running on cores %d "
-                         "and %d" % (thread.name, on_core[id(thread)],
-                                     core_id)))
-                on_core[id(thread)] = core_id
-                if thread.core != core_id:
-                    violations.append(
-                        ("sched", "thread %s occupies core %d but "
-                         "records core=%r" % (thread.name, core_id,
-                                              thread.core)))
-            for thread in self._run_queue:
-                if id(thread) in on_core:
-                    violations.append(
-                        ("sched", "thread %s is both running (core %d) "
-                         "and run-queued" % (thread.name,
-                                             on_core[id(thread)])))
+        on_core = {}
+        for core_id, thread in enumerate(self._running):
+            if thread is None:
+                continue
+            if id(thread) in on_core:
+                violations.append(
+                    ("sched", "thread %s is running on cores %d "
+                     "and %d" % (thread.name, on_core[id(thread)],
+                                 core_id)))
+            on_core[id(thread)] = core_id
+            if thread.core != core_id:
+                violations.append(
+                    ("sched", "thread %s occupies core %d but "
+                     "records core=%r" % (thread.name, core_id,
+                                          thread.core)))
+        for thread in self._run_queue:
+            if id(thread) in on_core:
+                violations.append(
+                    ("sched", "thread %s is both running (core %d) "
+                     "and run-queued" % (thread.name,
+                                         on_core[id(thread)])))
         return violations
 
     # ------------------------------------------------------------------
     # Thread management
     # ------------------------------------------------------------------
 
-    @_locked
     def add_thread(self, thread):
         if not isinstance(thread, SimThread):
             raise TypeError("add_thread expects a SimThread")
@@ -194,7 +170,6 @@ class Scheduler:
         self._run_queue.append(thread)
         return thread
 
-    @_locked
     def pick_thread(self, core_id, cycle):
         """Pop the next runnable thread for ``core_id``: its own homed
         threads first (FIFO); a foreign thread may be stolen only when
@@ -243,7 +218,6 @@ class Scheduler:
         if telem.metrics is not None:
             telem.metrics.inc("sched.%s" % kind)
 
-    @_locked
     def reattach(self, core_id, thread):
         """Put a thread back on its core after a non-blocking syscall."""
         thread.state = ThreadState.RUNNING
@@ -253,7 +227,6 @@ class Scheduler:
     def running_thread(self, core_id):
         return self._running[core_id]
 
-    @_locked
     def deschedule(self, core_id, cycle=None):
         """Remove the running thread from a core (it keeps its state);
         with ``cycle``, the thread's CPU time is credited."""
@@ -266,7 +239,6 @@ class Scheduler:
                 thread.run_start_cycle = cycle
         return thread
 
-    @_locked
     def preempt_if_due(self, core_id, cycle):
         """Round-robin: preempt the core's thread at a quantum boundary
         when other runnable threads are waiting.  Returns the preempted
@@ -287,7 +259,6 @@ class Scheduler:
                               {"core": core_id, "cycle": cycle})
         return thread
 
-    @_locked
     def runnable_count(self, cycle=None):
         if cycle is not None:
             self._wake_sleepers(cycle)
@@ -306,13 +277,11 @@ class Scheduler:
         return bool(self._run_queue or self._sleepers
                     or any(t is not None for t in self._running))
 
-    @_locked
     def wake_sleepers_until(self, cycle):
         """Move sleepers due by ``cycle`` onto the run queue (used by the
         bound phase's second-chance pass within an interval)."""
         self._wake_sleepers(cycle)
 
-    @_locked
     def next_wake_cycle(self):
         """Earliest sleeper wake-up, or None (deadlock detection)."""
         if not self._sleepers:
@@ -323,7 +292,6 @@ class Scheduler:
     # Syscall handling
     # ------------------------------------------------------------------
 
-    @_locked
     def handle_syscall(self, thread, syscall, cycle):
         """Apply ``syscall`` issued by ``thread`` at ``cycle``.  Returns a
         :class:`SyscallResult` value."""
@@ -404,7 +372,6 @@ class Scheduler:
             return SyscallResult.CONTINUE
         raise TypeError("Unknown syscall: %r" % (syscall,))
 
-    @_locked
     def thread_done(self, thread):
         thread.state = ThreadState.DONE
 

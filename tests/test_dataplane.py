@@ -240,12 +240,10 @@ class TestRecyclingMatrix:
     def test_backends_match_serial_with_recycling(self):
         cfg = small_test_system(num_cores=2, core_model="ooo")
         _, baseline = _run(cfg, "weave", backend="serial")
-        for backend in ("parallel", "pipelined", "process"):
-            cfg = small_test_system(num_cores=2, core_model="ooo")
-            sim, tree = _run(cfg, "weave", backend=backend)
-            assert_equivalent(tree, baseline, ignore=("host",),
-                              context="%s vs serial with recycling"
-                              % backend)
+        cfg = small_test_system(num_cores=2, core_model="ooo")
+        sim, tree = _run(cfg, "weave", backend="process")
+        assert_equivalent(tree, baseline, ignore=("host",),
+                          context="process vs serial with recycling")
 
     def test_kill_and_resume_matches_straight_run(self, tmp_path):
         """Checkpoint mid-run (with populated slabs), resume in a fresh

@@ -1,5 +1,5 @@
-"""Execution backends: serial/parallel/pipelined/process must produce
-identical simulated results (the determinism contract of repro.exec)."""
+"""Execution backends: serial and process must produce identical
+simulated results (the determinism contract of repro.exec)."""
 
 import copy
 import dataclasses
@@ -16,16 +16,14 @@ from repro.config import (
 from repro.core import ZSim
 from repro.core.simulator import CONTENTION_MODELS, _MD1Memory
 from repro.exec import BACKEND_NAMES, make_backend
-from repro.exec.parallel import ParallelBackend
-from repro.exec.pipelined import PipelinedBackend
+from repro.exec.process import ProcessBackend
 from repro.exec.serial import SerialBackend
 from repro.stats import assert_equivalent
 from repro.workloads import mt_workload
 
 
 def _multi_tile_config():
-    """16 cores over 4 tiles so the weave runs 4 domains (the parallel
-    weave path is a no-op with a single domain)."""
+    """16 cores over 4 tiles so the weave runs 4 domains."""
     cfg = SystemConfig(
         name="exec-16c",
         num_tiles=4,
@@ -71,17 +69,16 @@ class TestBackendEquivalence:
     def test_backends_match_serial(self, config_name, contention):
         baseline = _simulated_stats(CONFIGS[config_name](), contention,
                                     "serial")
-        for backend in ("parallel", "pipelined", "process"):
-            tree = _simulated_stats(CONFIGS[config_name](), contention,
-                                    backend)
-            # The host subtree holds wall-clock measurements, which
-            # legitimately differ across backends; everything else is
-            # simulated state and must match the serial reference
-            # exactly.  assert_equivalent reports the diverged paths.
-            assert_equivalent(
-                tree, baseline, ignore=("host",),
-                context="%s backend vs serial (%s, %s)"
-                % (backend, config_name, contention))
+        tree = _simulated_stats(CONFIGS[config_name](), contention,
+                                "process")
+        # The host subtree holds wall-clock measurements, which
+        # legitimately differ across backends; everything else is
+        # simulated state and must match the serial reference exactly.
+        # assert_equivalent reports the diverged paths.
+        assert_equivalent(
+            tree, baseline, ignore=("host",),
+            context="process backend vs serial (%s, %s)"
+            % (config_name, contention))
 
 
 class TestBackendSelection:
@@ -94,21 +91,26 @@ class TestBackendSelection:
         cfg = dataclasses.replace(
             tiny_config,
             boundweave=dataclasses.replace(tiny_config.boundweave,
-                                           backend="parallel"))
+                                           backend="process"))
         sim = ZSim(cfg)
-        assert isinstance(sim.backend, ParallelBackend)
+        assert isinstance(sim.backend, ProcessBackend)
         sim.backend.shutdown()
 
     def test_explicit_arg_overrides_config(self, tiny_config):
-        sim = ZSim(tiny_config, backend="pipelined")
-        assert isinstance(sim.backend, PipelinedBackend)
-        sim.backend.shutdown()
+        cfg = dataclasses.replace(
+            tiny_config,
+            boundweave=dataclasses.replace(tiny_config.boundweave,
+                                           backend="process"))
+        sim = ZSim(cfg, backend="serial")
+        assert isinstance(sim.backend, SerialBackend)
 
     def test_unknown_backend_rejected(self, tiny_config):
-        with pytest.raises(ValueError, match="backend"):
-            ZSim(tiny_config, backend="gpu")
-        with pytest.raises(ValueError, match="backend"):
-            make_backend("gpu")
+        # The deleted thread backends' names are unknown names too.
+        for name in ("gpu", "parallel", "pipelined"):
+            with pytest.raises(ValueError, match="backend"):
+                ZSim(tiny_config, backend=name)
+            with pytest.raises(ValueError, match="backend"):
+                make_backend(name)
 
     def test_config_validation_rejects_unknown_backend(self, tiny_config):
         cfg = dataclasses.replace(
@@ -119,8 +121,7 @@ class TestBackendSelection:
             cfg.validate()
 
     def test_backend_names_registry(self):
-        assert BACKEND_NAMES == ("serial", "parallel", "pipelined",
-                                 "process")
+        assert BACKEND_NAMES == ("serial", "process")
         for name in BACKEND_NAMES:
             assert make_backend(name).name == name
 
@@ -147,40 +148,30 @@ class TestMD1MemoryAttributeSafety:
 
 
 class TestBackendObservability:
-    def test_parallel_reports_worker_idle(self):
-        from repro.obs import Telemetry
-        cfg = _multi_tile_config()
-        wl = mt_workload("blackscholes", scale=1 / 64,
-                         num_threads=cfg.num_cores)
-        telemetry = Telemetry(trace=False, metrics=True)
-        sim = ZSim(cfg, threads=wl.make_threads(target_instrs=20_000),
-                   backend="parallel", telemetry=telemetry)
-        sim.run()
-        hist = telemetry.metrics.histogram("exec.worker_idle_us")
-        assert hist.count > 0
-
-    def test_pipelined_reports_measured_and_modeled_speedup(self,
+    def test_host_node_reports_measured_and_modeled_speedup(self,
                                                             tiny_config):
         wl = mt_workload("blackscholes", scale=1 / 64,
                          num_threads=tiny_config.num_cores)
         sim = ZSim(tiny_config,
-                   threads=wl.make_threads(target_instrs=25_000),
-                   backend="pipelined")
+                   threads=wl.make_threads(target_instrs=25_000))
         result = sim.run()
         host = result.stats().to_dict()["host"]
-        assert host["backend"] == "pipelined"
+        assert host["backend"] == "serial"
         assert host["measured_wall_seconds"] > 0
         assert host["measured_speedup"] > 0
+        # The modeled curves come from the analytic HostModel, not from
+        # host threads: both the bound-weave and the pipelined one.
         assert "x1" in host["speedup"]
         assert "x1" in host["pipelined_speedup"]
 
     def test_shutdown_is_idempotent_and_restartable(self, tiny_config):
-        sim = ZSim(tiny_config, backend="parallel")
+        sim = ZSim(tiny_config, backend="process")
+        sim.backend.pool_size = 2
         wl = mt_workload("blackscholes", scale=1 / 64,
                          num_threads=tiny_config.num_cores)
         for thread in wl.make_threads(target_instrs=5_000):
             sim.add_thread(thread)
         sim.run(max_intervals=3)   # run() shuts the backend down
         sim.backend.shutdown()     # second shutdown is a no-op
-        sim.run(max_intervals=3)   # pools respawn lazily
+        sim.run(max_intervals=3)   # the pool re-forks per pass
         sim.backend.shutdown()

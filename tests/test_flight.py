@@ -176,8 +176,9 @@ class TestFailurePathCapsules:
         assert "SIGTERM" in capsule["reason"]["message"]
 
     @pytest.mark.parametrize("backend,plan,interval", (
-        # A thread worker raising mid-job surfaces as a WorkerFailure.
-        ("parallel", "raise@2:bound", 2),
+        # A corrupted weave-queue timestamp surfaces as a
+        # HorizonViolation.
+        ("process", "corrupt@2:d0", 2),
         # The process backend absorbs single worker deaths inline; only
         # repeated whole-pool death surfaces (ProcessPoolError).
         ("process", "sigkill@2:w0;sigkill@3:w0", 3),
@@ -186,9 +187,8 @@ class TestFailurePathCapsules:
             self, tmp_path, backend, plan, interval):
         flight = FlightRecorder(capsule_dir=str(tmp_path))
         sim = _build(backend, flight)
-        if backend == "process":
-            sim.backend.pool_size = 1
-        sim.backend.fault_plan = FaultPlan.parse(plan)
+        sim.backend.pool_size = 1
+        FaultPlan.parse(plan).install(sim.backend)
         Supervisor(sim, max_retries=3, backoff_intervals=0)
         sim.run()  # recovered, not fatal — but the capsule remains
         recovered = [load_capsule(p) for p in flight.capsules]

@@ -42,12 +42,9 @@ from repro.resilience import (
 from repro.stats import assert_equivalent
 from repro.workloads import mt_workload
 
-WATCHDOG_S = 0.25
-
-
 def _config(backend, audit_every=1):
     """16 cores over 4 tiles so the weave runs multiple domains and the
-    parallel paths are actually parallel."""
+    process backend has cores to speculate on."""
     cfg = SystemConfig(
         name="integrity-16c",
         num_tiles=4,
@@ -61,7 +58,7 @@ def _config(backend, audit_every=1):
         l3=CacheConfig(name="l3", size_kb=64, ways=8, latency=14,
                        banks=4, shared_by=16),
         boundweave=BoundWeaveConfig(host_threads=4, backend=backend,
-                                    watchdog_budget_s=WATCHDOG_S,
+                                    process_workers=2,
                                     audit_every=audit_every),
     )
     return cfg.validate()
@@ -110,11 +107,10 @@ class TestFingerprintChain:
 
     def test_chain_identical_across_backends(self, serial_baseline):
         _tree, serial_chain = serial_baseline
-        for backend in ("parallel", "process"):
-            sim = _sim(backend)
-            sim.run()
-            assert sim.integrity.chain == serial_chain, backend
-            assert sim.integrity.violations == 0
+        sim = _sim("process")
+        sim.run()
+        assert sim.integrity.chain == serial_chain
+        assert sim.integrity.violations == 0
 
     def test_component_digests_name_subsystems(self):
         sim = _sim("serial")
@@ -199,12 +195,12 @@ class TestAuditor:
 
 
 class TestSilentCorruptionRecovery:
-    @pytest.mark.parametrize("backend", ("parallel", "process"))
+    @pytest.mark.parametrize("backend", ("process",))
     def test_corrupt_detected_and_rolled_back(self, backend,
                                               serial_baseline):
         baseline, _chain = serial_baseline
         sim = _sim(backend)
-        sim.backend.fault_plan = FaultPlan.parse("corrupt@3:c2")
+        FaultPlan.parse("corrupt@3:c2").install(sim.backend)
         supervisor = Supervisor(sim, max_retries=3, backoff_intervals=1)
         result = sim.run()
         assert supervisor.integrity_rollbacks == 1
@@ -219,8 +215,8 @@ class TestSilentCorruptionRecovery:
         propagates silently; the rollback must span back past it to the
         last *verified* barrier, not just the previous interval."""
         baseline, _chain = serial_baseline
-        sim = _sim("parallel", audit_every=2)
-        sim.backend.fault_plan = FaultPlan.parse("corrupt@3:c2")
+        sim = _sim("process", audit_every=2)
+        FaultPlan.parse("corrupt@3:c2").install(sim.backend)
         supervisor = Supervisor(sim, max_retries=3, backoff_intervals=1)
         result = sim.run()
         assert supervisor.integrity_rollbacks == 1
@@ -229,19 +225,19 @@ class TestSilentCorruptionRecovery:
         assert_equivalent(baseline, _stats_tree(result))
 
     def test_integrity_fault_demotes_immediately(self):
-        sim = _sim("parallel")
-        sim.backend.fault_plan = FaultPlan.parse("corrupt@3:c2")
+        sim = _sim("process")
+        FaultPlan.parse("corrupt@3:c2").install(sim.backend)
         supervisor = Supervisor(sim, max_retries=3, backoff_intervals=1)
         sim.run()
-        assert len(supervisor.demotions) == 1
-        assert supervisor.demotions[0]["from"] == "parallel"
+        assert [(d["from"], d["to"]) for d in supervisor.demotions] == [
+            ("process", "serial")]
 
     def test_loud_corrupt_still_recovers(self, serial_baseline):
         """The d-selector flavor (weave queue timestamps) keeps its
         HorizonViolation path under the span supervisor."""
         baseline, _chain = serial_baseline
-        sim = _sim("parallel")
-        sim.backend.fault_plan = FaultPlan.parse("corrupt@3:d1")
+        sim = _sim("process")
+        FaultPlan.parse("corrupt@3:d1").install(sim.backend)
         supervisor = Supervisor(sim, max_retries=3, backoff_intervals=1)
         result = sim.run()
         assert supervisor.recoveries == 1
@@ -252,7 +248,7 @@ class TestSilentCorruptionRecovery:
         """A divergence that reproduces at the same (interval,
         component) raises out of the supervisor: the fleet's breaker
         quarantines, recovery is not retried forever."""
-        sim = _sim("parallel")
+        sim = _sim("process")
         supervisor = Supervisor(sim, max_retries=3, backoff_intervals=1)
         interval = sim.config.boundweave.interval_cycles
         supervisor.run_interval(interval)
@@ -423,8 +419,8 @@ class TestConfigTyping:
 
     def test_int_accepted_where_float_declared(self):
         cfg = config_from_dict(
-            {"boundweave": {"watchdog_budget_s": 2}})
-        assert cfg.boundweave.watchdog_budget_s == 2
+            {"boundweave": {"heartbeat_budget_s": 2}})
+        assert cfg.boundweave.heartbeat_budget_s == 2
 
     def test_section_must_be_object(self):
         with pytest.raises(ConfigError, match="expected an object"):

@@ -146,10 +146,10 @@ class TestRenderTop:
         assert "STALE" not in render_top(done, now=1100.0)
 
     def test_demotion_path_and_workers_render(self):
-        status = dict(self.STATUS, demotion_path="process->parallel",
+        status = dict(self.STATUS, demotion_path="process->serial",
                       demotions=1)
         text = render_top(status, now=1000.5)
-        assert "(process->parallel)" in text
+        assert "(process->serial)" in text
         assert "workers: 0:hb_slack 0.2s" in text
 
 

@@ -8,8 +8,8 @@ The headline properties:
   is byte-identical to an uninterrupted serial run, with the recovery
   visible only under ``stats()["host"]``.
 * **The degradation ladder**: systemic pool failure demotes the run
-  process -> parallel -> serial under supervision, and the demoted run
-  still matches the fault-free serial reference.
+  process -> serial under supervision, and the demoted run still
+  matches the fault-free serial reference.
 """
 
 import os
@@ -92,8 +92,8 @@ class TestProcessFaultGrammar:
         assert plan.process_faults(3) == []
 
     def test_corrupt_seam_skips_process_faults(self):
-        # corrupt() walks non-dispatch faults; process faults have no
-        # apply() and must be excluded (weave=None would blow up).
+        # corrupt() walks weave-queue faults only; process faults have
+        # no apply() and must be excluded (weave=None would blow up).
         plan = FaultPlan.parse("sigstop@4")
         plan.corrupt(None, 4)
         assert not plan.faults[0].fired
@@ -176,43 +176,42 @@ class TestProcessCrashTolerance:
 
 
 class TestDegradationLadder:
-    def test_process_to_parallel_to_serial(self, serial_baseline):
+    def test_process_to_serial(self, serial_baseline):
         sim, _ = _build("process")
         sim.backend.pool_size = 1
         sim.backend.heartbeat_budget_s = 2.0
-        sim.backend.watchdog_budget = 0.25
-        # Two whole-pool deaths -> ProcessPoolError -> demote to
-        # parallel; a killed thread worker at interval 6 -> demote to
-        # serial (permanent).
-        plan = FaultPlan.parse("sigkill@2:w0;sigkill@3:w0;kill@6:bound")
-        sim.backend.fault_plan = plan
+        # Two whole-pool deaths -> ProcessPoolError -> demote to serial
+        # (permanent).
+        plan = FaultPlan.parse("sigkill@2:w0;sigkill@3:w0")
+        plan.install(sim.backend)
         supervisor = Supervisor(sim, max_retries=1, backoff_intervals=0)
         result = sim.run()
 
         assert [(d["from"], d["to"]) for d in supervisor.demotions] == [
-            ("process", "parallel"), ("parallel", "serial")]
+            ("process", "serial")]
         assert supervisor.fallback_permanent
         assert isinstance(sim.backend, SerialBackend)
         assert sim.host_model.backend_name == "serial"
         # Degraded, not wrong.
         assert_equivalent(_stats_tree(result), serial_baseline,
-                          context="fully demoted run vs serial")
+                          context="demoted run vs serial")
         res = result.stats().to_dict()["host"]["resilience"]
-        assert res["demotions"] == 2
-        assert res["demotion_path"] == "process->parallel->serial"
-        assert res["recoveries"] == 2
+        assert res["demotions"] == 1
+        assert res["demotion_path"] == "process->serial"
+        assert res["recoveries"] == 1
 
-    def test_demotion_transfers_watchdog_and_fault_plan(self):
+    def test_demotion_transfers_fault_plan(self):
         sim, _ = _build("process")
         sim.backend.pool_size = 1
-        plan = FaultPlan.parse("sigkill@2:w0;sigkill@3:w0")
-        sim.backend.fault_plan = plan
-        sim.backend.watchdog_budget = 0.25
+        # The silent corrupt fires after the demotion, through the
+        # serial floor's scribble seam — only because the plan moved.
+        plan = FaultPlan.parse("sigkill@2:w0;sigkill@3:w0;corrupt@5:c1")
+        plan.install(sim.backend)
         Supervisor(sim, max_retries=1, backoff_intervals=0)
-        sim.run(max_intervals=5)
-        assert sim.backend.name == "parallel"
+        sim.run(max_intervals=6)
+        assert sim.backend.name == "serial"
         assert sim.backend.fault_plan is plan
-        assert sim.backend.watchdog_budget == 0.25
+        assert plan.remaining() == []
 
 
 # ---------------------------------------------------------------------
@@ -249,9 +248,9 @@ class TestBackoffJitter:
         assert sup._next_backoff() == 0
 
     def test_recovery_surfaces_attempt_and_backoff(self):
-        sim, _ = _build("parallel")
-        sim.backend.watchdog_budget = 0.25
-        sim.backend.fault_plan = FaultPlan.parse("kill@2")
+        sim, _ = _build("process")
+        sim.backend.pool_size = 1
+        FaultPlan.parse("corrupt@2:d0").install(sim.backend)
         supervisor = Supervisor(sim, max_retries=5, backoff_intervals=2)
         result = sim.run()
         entry = supervisor.history[0]

@@ -8,8 +8,10 @@ simulated results.
 """
 
 import dataclasses
+import logging
 import os
 import pickle
+import types
 import zlib
 
 import pytest
@@ -27,10 +29,7 @@ from repro.errors import (
     CheckpointVersionError,
     ConfigError,
     DeadlockError,
-    ExecutionFault,
     WallClockExceeded,
-    WatchdogTimeout,
-    WorkerFailure,
 )
 from repro.exec import make_backend
 from repro.exec.serial import SerialBackend
@@ -46,18 +45,16 @@ from repro.resilience import (
 from repro.stats import assert_equivalent
 from repro.workloads import mt_workload
 
-WATCHDOG_S = 0.25
-
-#: One spec per fault kind, each exercising a different detection path:
-#: raise -> WorkerFailure, kill/stall/delay -> WatchdogTimeout,
-#: corrupt -> HorizonViolation.
-FAULT_MATRIX = ("raise@2:w0", "kill@2", "stall@3", "delay@2:0.4",
-                "corrupt@3")
+#: One spec per detection path on the process backend: a corrupted weave
+#: queue timestamp (random or chosen domain) fires HorizonViolation and
+#: is replayed serially; a SIGKILLed worker costs only its speculation
+#: (its cores re-run inline, no replay needed).
+FAULT_MATRIX = ("corrupt@3", "corrupt@3:d1", "sigkill@2:w0")
 
 
 def _matrix_config(backend):
     """16 cores over 4 tiles so the weave runs multiple domains and the
-    parallel paths are actually parallel."""
+    process backend has cores to speculate on."""
     cfg = SystemConfig(
         name="resilience-16c",
         num_tiles=4,
@@ -71,7 +68,7 @@ def _matrix_config(backend):
         l3=CacheConfig(name="l3", size_kb=64, ways=8, latency=14,
                        banks=4, shared_by=16),
         boundweave=BoundWeaveConfig(host_threads=4, backend=backend,
-                                    watchdog_budget_s=WATCHDOG_S),
+                                    process_workers=2),
     )
     return cfg.validate()
 
@@ -106,26 +103,26 @@ def serial_baseline():
 class TestFaultPlanGrammar:
     def test_parse_all_kinds_and_selectors(self):
         plan = FaultPlan.parse(
-            "kill@3:w0; stall@5:w1:0.5; delay@6:0.2; raise@2:c1; "
-            "corrupt@4:d1; raise@7:weave-stage")
+            "sigkill@3:w0; sigstop@5:w1; corrupt@4:d1; corrupt@6:c2; "
+            "corrupt@2")
         kinds = [type(f).kind for f in plan.faults]
-        assert kinds == ["kill", "stall", "delay", "raise", "corrupt",
-                        "raise"]
-        kill, stall, delay, raise_, corrupt, staged = plan.faults
+        assert kinds == ["sigkill", "sigstop", "corrupt", "corrupt",
+                         "corrupt"]
+        kill, stop, loud, silent, anywhere = plan.faults
         assert (kill.interval, kill.worker) == (3, 0)
-        assert (stall.worker, stall.seconds) == (1, 0.5)
-        assert delay.seconds == 0.2
-        assert raise_.core == 1
-        assert corrupt.domain == 1
-        assert staged.phase == "weave-stage"
+        assert (stop.interval, stop.worker) == (5, 1)
+        assert (loud.domain, loud.seam) == (1, "weave-queue")
+        assert (silent.core, silent.seam) == (2, "scribble")
+        assert (anywhere.domain, anywhere.seam) == (None, "weave-queue")
 
     def test_describe_roundtrips(self):
-        for spec in FAULT_MATRIX:
+        for spec in FAULT_MATRIX + ("corrupt@6:c2", "sigstop@4"):
             plan = FaultPlan.parse(spec)
-            assert FaultPlan.parse(plan.faults[0].describe()).faults
+            assert plan.faults[0].describe() == spec
 
     @pytest.mark.parametrize("bad", ["", "  ;  ", "explode@3", "kill",
-                                     "kill@x", "kill@3:q9"])
+                                     "sigkill@x", "sigkill@3:q9",
+                                     "corrupt@3:bound", "corrupt@3:0.5"])
     def test_malformed_raises_config_error(self, bad):
         with pytest.raises(ConfigError):
             FaultPlan.parse(bad)
@@ -135,19 +132,66 @@ class TestFaultPlanGrammar:
             FaultPlan.parse("nope@1")
 
     def test_matching_consumes_a_fault_once(self):
-        plan = FaultPlan.parse("raise@2:w0")
-        ctx = {"interval": 2, "worker": 0, "phase": "bound"}
-        fn = plan.wrap(lambda i: None, ctx, backend=None, epoch=0)
-        assert fn is not None and plan.remaining() == []
-        # Second dispatch with the same context: already consumed.
-        sentinel = object()
-        assert plan.wrap(sentinel, ctx, backend=None, epoch=0) is sentinel
+        from repro.core.domains import Domain
+        plan = FaultPlan.parse("corrupt@2:d0")
+        domain = Domain(0)
+        for cycle in (10, 20):
+            domain.push(cycle, object())
+        weave = types.SimpleNamespace(domains=[domain])
+        plan.corrupt(weave, 1)  # other interval: no match
+        assert plan.remaining() == plan.faults
+        plan.corrupt(weave, 2)
+        assert plan.remaining() == []
+        queued = list(domain._queue)
+        plan.corrupt(weave, 2)  # consumed: a re-seeded queue is spared
+        assert domain._queue == queued
 
     def test_reset_rearms(self):
-        plan = FaultPlan.parse("raise@2")
+        plan = FaultPlan.parse("corrupt@2")
         plan.faults[0].fired = True
         plan.reset()
         assert plan.remaining() == plan.faults
+
+
+class TestFaultPlanInstall:
+    """A fault the backend has no seam for would be a silent no-op, so
+    installing such a plan is refused up front."""
+
+    def test_serial_rejects_weave_queue_corruption(self):
+        with pytest.raises(ConfigError,
+                           match=r"corrupt@3:d1.*serial backend"):
+            FaultPlan.parse("corrupt@3:d1").install(make_backend("serial"))
+
+    def test_serial_rejects_process_signals(self):
+        backend = make_backend("serial")
+        with pytest.raises(ConfigError, match="sigkill@2:w0"):
+            FaultPlan.parse("corrupt@3:c2;sigkill@2:w0").install(backend)
+        assert backend.fault_plan is None
+
+    def test_serial_accepts_silent_corruption(self):
+        backend = make_backend("serial")
+        plan = FaultPlan.parse("corrupt@3:c2").install(backend)
+        assert backend.fault_plan is plan
+
+    def test_process_accepts_every_kind(self):
+        backend = make_backend("process")
+        plan = FaultPlan.parse(
+            "corrupt@2:d1;corrupt@3:c2;sigkill@4:w0;sigstop@5")
+        assert plan.install(backend) is plan
+        assert backend.fault_plan is plan
+
+    def test_domain_selector_must_name_a_weave_domain(self, tiny_config):
+        sim = ZSim(tiny_config, backend="process")
+        assert len(sim.weave.domains) == 1
+        with pytest.raises(ConfigError, match="1 domain"):
+            FaultPlan.parse("corrupt@2:d1").install(sim.backend)
+        FaultPlan.parse("corrupt@2:d0").install(sim.backend)
+
+    def test_cli_refuses_a_plan_that_cannot_fire(self):
+        from repro.cli import main
+        with pytest.raises(ConfigError, match="serial backend"):
+            main(["run", "--preset", "test", "--instrs", "2000",
+                  "--inject-faults", "corrupt@2:d1"])
 
 
 # ---------------------------------------------------------------------
@@ -157,35 +201,38 @@ class TestFaultPlanGrammar:
 
 
 class TestFaultMatrix:
-    @pytest.mark.parametrize("backend", ["parallel", "pipelined"])
     @pytest.mark.parametrize("spec", FAULT_MATRIX)
-    def test_supervised_run_matches_serial(self, backend, spec,
-                                           serial_baseline):
-        sim = _matrix_sim(backend)
-        plan = FaultPlan.parse(spec, seed=7)
-        sim.backend.fault_plan = plan
+    def test_supervised_run_matches_serial(self, spec, serial_baseline):
+        sim = _matrix_sim("process")
+        plan = FaultPlan.parse(spec, seed=7).install(sim.backend)
         supervisor = Supervisor(sim, max_retries=3, backoff_intervals=1)
-        tree = _stats_tree(sim.run())
+        result = sim.run()
         assert plan.remaining() == [], "fault never fired: %s" % spec
-        assert supervisor.recoveries >= 1
+        if spec.startswith("corrupt"):
+            assert supervisor.recoveries >= 1
+            assert supervisor.history[0]["kind"] == "HorizonViolation"
+        else:
+            host = result.stats().to_dict()["host"]["exec"]
+            assert host["worker_deaths"] >= 1
         assert not supervisor.fallback_permanent
-        assert_equivalent(tree, serial_baseline,
-                          context="%s under %s" % (spec, backend))
+        assert_equivalent(_stats_tree(result), serial_baseline,
+                          context="%s under process" % spec)
 
     def test_history_records_fault_context(self, serial_baseline):
-        sim = _matrix_sim("parallel")
-        sim.backend.fault_plan = FaultPlan.parse("raise@2:w0")
+        sim = _matrix_sim("process")
+        FaultPlan.parse("corrupt@2:d1").install(sim.backend)
         supervisor = Supervisor(sim, max_retries=3, backoff_intervals=1)
         sim.run()
         assert len(supervisor.history) == 1
         entry = supervisor.history[0]
-        assert entry["kind"] == "WorkerFailure"
+        assert entry["kind"] == "HorizonViolation"
         assert entry["interval"] == 2
-        assert entry["worker"] == 0
+        assert entry["phase"] == "weave"
+        assert entry["domain"] == 1
 
     def test_stats_tree_reports_recovery_counters(self):
-        sim = _matrix_sim("parallel")
-        sim.backend.fault_plan = FaultPlan.parse("raise@2:w0")
+        sim = _matrix_sim("process")
+        FaultPlan.parse("corrupt@2:d1").install(sim.backend)
         Supervisor(sim, max_retries=3, backoff_intervals=1)
         tree = sim.run().stats().to_dict()
         res = tree["host"]["resilience"]
@@ -195,56 +242,27 @@ class TestFaultMatrix:
 
 class TestPermanentFallback:
     def test_repeated_faults_fall_back_to_serial(self, serial_baseline):
-        sim = _matrix_sim("parallel")
-        sim.backend.fault_plan = FaultPlan.parse("raise@2:w0")
+        sim = _matrix_sim("process")
+        plan = FaultPlan.parse("corrupt@2:d1").install(sim.backend)
         supervisor = Supervisor(sim, max_retries=1, backoff_intervals=0)
         tree = _stats_tree(sim.run())
         assert supervisor.fallback_permanent
         assert isinstance(sim.backend, SerialBackend)
+        assert sim.backend.fault_plan is plan
         assert sim.host_model.backend_name == "serial"
+        assert [(d["from"], d["to"]) for d in supervisor.demotions] == [
+            ("process", "serial")]
         # Degraded, not wrong: the run still matches the reference.
         assert_equivalent(tree, serial_baseline,
                           context="permanent fallback")
 
 
 # ---------------------------------------------------------------------
-# Unsupervised failure propagation (the satellite fixes in repro.exec)
+# Unsupervised failure propagation
 # ---------------------------------------------------------------------
 
 
 class TestUnsupervisedPropagation:
-    def test_worker_failure_chains_the_original(self):
-        sim = _matrix_sim("parallel")
-        sim.backend.fault_plan = FaultPlan.parse("raise@2:w0")
-        with pytest.raises(WorkerFailure) as excinfo:
-            sim.run()
-        failure = excinfo.value
-        assert isinstance(failure.__cause__, RuntimeError)
-        assert "injected failure" in str(failure.__cause__)
-        assert "injected failure" in failure.traceback_text
-        assert failure.interval == 2
-        assert isinstance(failure, ExecutionFault)
-
-    def test_killed_worker_surfaces_as_watchdog_timeout(self):
-        sim = _matrix_sim("parallel")
-        sim.backend.fault_plan = FaultPlan.parse("kill@2")
-        with pytest.raises(WatchdogTimeout) as excinfo:
-            sim.run()
-        assert excinfo.value.budget_s == pytest.approx(WATCHDOG_S)
-
-    def test_shutdown_does_not_hang_on_poisoned_pool(self):
-        """After a kill fault the dead worker's inbox never drains;
-        shutdown must bound its sentinel delivery and joins instead of
-        wedging (ZSim.run already shut down once in its finally — this
-        is the explicit second call)."""
-        sim = _matrix_sim("parallel")
-        sim.backend.fault_plan = FaultPlan.parse("kill@2")
-        backend = sim.backend
-        with pytest.raises(WatchdogTimeout):
-            sim.run()
-        backend.shutdown()  # must return promptly, not hang
-        assert backend._workers == []
-
     def test_run_shuts_backend_down_when_backend_raises(self,
                                                         tiny_config):
         shutdowns = []
@@ -307,12 +325,6 @@ class TestTypedErrors:
             make_backend("quantum")
 
     def test_config_validation_raises_config_error(self):
-        cfg = small_test_system(num_cores=2)
-        cfg = dataclasses.replace(
-            cfg, boundweave=dataclasses.replace(cfg.boundweave,
-                                                watchdog_budget_s=-1.0))
-        with pytest.raises(ConfigError, match="watchdog"):
-            cfg.validate()
         cfg = small_test_system(num_cores=2)
         cfg = dataclasses.replace(
             cfg, boundweave=dataclasses.replace(cfg.boundweave,
@@ -462,10 +474,11 @@ class TestResume:
 
     def test_resume_after_fault_recovery_matches(self, tmp_path,
                                                  serial_baseline):
-        """Checkpointing composes with supervision: recover from a kill
-        fault, checkpoint, stop, resume, and the stats still match."""
-        sim = _matrix_sim("parallel")
-        sim.backend.fault_plan = FaultPlan.parse("kill@2")
+        """Checkpointing composes with supervision: recover from a
+        corrupted weave queue, checkpoint, stop, resume, and the stats
+        still match."""
+        sim = _matrix_sim("process")
+        FaultPlan.parse("corrupt@2:d1").install(sim.backend)
         Supervisor(sim, max_retries=3, backoff_intervals=1)
         sim.checkpointer = Checkpointer(str(tmp_path), every=1)
         sim.run(max_intervals=6)
@@ -476,6 +489,34 @@ class TestResume:
             target_instrs=25_000))
         assert_equivalent(_stats_tree(resumed.run()), serial_baseline,
                           context="resume after recovery")
+
+    def test_capsule_from_retired_backend_resumes_on_serial(
+            self, tmp_path, caplog):
+        """Capsules written under the since-deleted thread backends
+        name them in ``backend``; they resume on serial, with a warning,
+        to the uninterrupted run's stats."""
+        baseline_sim, _ = _small_sim()
+        baseline = _stats_tree(baseline_sim.run())
+
+        partial, wl = _small_sim()
+        partial.checkpointer = Checkpointer(str(tmp_path), every=1)
+        partial.run(max_intervals=5)
+        capsule = read_checkpoint(latest(str(tmp_path)))
+        capsule["backend"] = "parallel"
+        # repro's logger tree may have stopped propagating (see
+        # repro.obs.log.configure_logging): listen on it directly.
+        logger = logging.getLogger("repro")
+        logger.addHandler(caplog.handler)
+        try:
+            with caplog.at_level("WARNING", logger="repro"):
+                resumed = ZSim.resume(
+                    capsule, wl.make_threads(target_instrs=8_000))
+        finally:
+            logger.removeHandler(caplog.handler)
+        assert isinstance(resumed.backend, SerialBackend)
+        assert "retired 'parallel' backend" in caplog.text
+        assert_equivalent(_stats_tree(resumed.run()), baseline,
+                          context="retired-backend capsule resumed")
 
     def test_resume_rejects_wrong_thread_count(self, tmp_path):
         sim, wl = _small_sim()
