@@ -12,7 +12,7 @@ Two pinned scenarios track the data-plane trajectory (ISSUE 7):
 * ``pingpong`` — a coherence-heavy 4-core run (ISSUE 10): canneal's
   high-sharing pointer chase bounces written lines between private
   caches, so wall time lives in the directory walk, not the L1 fast
-  path.  This is where the flattened coherence walk is measured.
+  path.  This is where the coherence walk is measured.
 
 Unlike the pytest figure benchmarks, this is a standalone script so CI
 can run it directly and assert a MIPS floor::

@@ -134,7 +134,8 @@ class SimulationResult:
             "translation_invalidations": sum(t.invalidations
                                              for t in tcaches.values()),
             "fastpath_hits": fast,
-            "l2_fastpath_hits": getattr(hierarchy, "l2_fastpath_hits", 0),
+            # Retired L2-hit fast path; perfbench still reads the key.
+            "l2_fastpath_hits": 0,
             "slow_accesses": slow,
             "fastpath_hit_rate": fast / accesses if accesses else 0.0,
             "dir_bitmask_ops": (

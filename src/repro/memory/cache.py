@@ -12,16 +12,25 @@ Shared caches are banked: each bank is its own :class:`Cache` instance;
 all banks of a level share one children list so child identities are
 stable across banks.
 
-The coherence walk runs on integers (ISSUE 10): every cache carries a
-stable ``child_id`` — its index in its parent level's shared children
-list — and directories store **bitmasks over child indices** instead of
-sets of cache objects.  Sharer updates are single OR/AND-NOT int ops,
-owner lookups are dict-of-int reads, and invalidation/downgrade fan-out
-iterates set bits.  Parent routing is a precomputed table
-(``_parent_banks`` / ``_parent_net`` / ``_parent_hashed``) installed by
-the hierarchy builder — the per-line bank arithmetic is inlined at the
-call sites, and the old unpickleable ``parent_select`` closures are gone
-(a compatible :meth:`parent_select` method remains for introspection).
+Every access that misses the L1 fast path (``MemoryHierarchy.access``)
+takes one walk, the recursion in this module: :meth:`Cache.handle_access`
+-> :meth:`Cache._fetch_and_fill` -> the parent's ``handle_access`` (ending
+at :meth:`MainMemory.handle_access`), then :meth:`Cache._grant_to_child`
+and :meth:`Cache._evict` on the way back.  Prefetch fills and subtree
+coherence (invalidations, downgrades) use the same methods.
+
+The walk runs on integers: every cache carries a stable ``child_id`` —
+its index in its parent level's shared children list — and directories
+store **bitmasks over child indices** instead of sets of cache objects.
+Sharer updates are single OR/AND-NOT int ops, owner lookups are
+dict-of-int reads, and invalidation/downgrade fan-out iterates set bits.
+Routing is precomputed: each cache's parent table (``_parent_banks`` /
+``_parent_net`` / ``_parent_hashed``) is installed by the hierarchy
+builder, with the per-line bank arithmetic inlined in
+:meth:`Cache._fetch_and_fill`, and main memory keeps its controller
+tables (``_ctrl_tiles`` / ``_net_to_ctrl``).  Nothing unpickleable is
+installed (a :meth:`Cache.parent_select` method remains for
+introspection).
 """
 
 from __future__ import annotations
@@ -121,8 +130,8 @@ class Cache:
     def parent_select(self, line):
         """Route ``line`` to its parent: returns ``(parent, net_latency)``.
 
-        Introspection-friendly wrapper over the routing table; the hot
-        walk inlines the same arithmetic (see ``_fetch_and_fill``)."""
+        Introspection-friendly wrapper over the routing table; the miss
+        path in :meth:`_fetch_and_fill` inlines the same arithmetic."""
         banks = self._parent_banks
         if banks is None:
             return None, 0
@@ -450,15 +459,7 @@ class MainMemory:
         #: One weave component per controller, set by the hierarchy.
         self.ctrl_weaves = [None] * config.controllers
         self.noc_routes = None
-        # Flat-walk routing tables; MemoryHierarchy._rewire_parents
-        # refreshes them (also after unpickle) before any walk runs.
-        self._num_ctrls = config.controllers
-        self._zero_load = config.zero_load_latency
-        self._ctrl_tiles = tuple(self.controller_tile(ctrl)
-                                 for ctrl in range(config.controllers))
-        self._net_to_ctrl = tuple(
-            tuple(network.latency(src, tile) for tile in self._ctrl_tiles)
-            for src in range(num_tiles))
+        self._build_routing()
         self._sharers = {}            # line -> int bitmask of child ids
         self._owner = {}              # line -> child id
         self.reads = 0
@@ -473,7 +474,24 @@ class MainMemory:
         exists the children list covers every requester."""
         self.__dict__.update(state)
         self.__dict__.setdefault("dir_ops", 0)
+        self._build_routing()
         self._migrate_directory()
+
+    def _build_routing(self):
+        """Precompute the controller tables :meth:`handle_access` reads:
+        the tile of every controller and the zero-load network latency
+        from every source tile to it.  Both are pure functions of the
+        static topology, so a load rebuilds them (older capsules lack
+        them)."""
+        config = self.config
+        self._num_ctrls = config.controllers
+        self._zero_load = config.zero_load_latency
+        self._ctrl_tiles = tuple(self.controller_tile(ctrl)
+                                 for ctrl in range(config.controllers))
+        self._net_to_ctrl = tuple(
+            tuple(self.network.latency(src, tile)
+                  for tile in self._ctrl_tiles)
+            for src in range(self.num_tiles))
 
     def _migrate_directory(self):
         """Convert legacy set-of-objects directory entries to bitmask
@@ -506,16 +524,16 @@ class MainMemory:
 
     def handle_access(self, line, write, requester, ctx):
         self.reads += 1
-        ctrl = line % self.config.controllers
-        src_tile = getattr(requester, "tile", 0)
-        ctrl_tile = self.controller_tile(ctrl)
-        if self.noc_routes is not None and src_tile != ctrl_tile:
-            route = self.noc_routes.get((src_tile, ctrl_tile))
-            if route is not None:
-                ctx.steps.append((route, ctx.latency, StepKind.NOC))
-        ctx.latency += self.network.latency(src_tile, ctrl_tile)
-        arrival = ctx.latency
-        ctx.latency += self.config.zero_load_latency
+        ctrl = line % self._num_ctrls
+        src_tile = requester.tile
+        if self.noc_routes is not None:
+            ctrl_tile = self._ctrl_tiles[ctrl]
+            if src_tile != ctrl_tile:
+                route = self.noc_routes.get((src_tile, ctrl_tile))
+                if route is not None:
+                    ctx.steps.append((route, ctx.latency, StepKind.NOC))
+        arrival = ctx.latency + self._net_to_ctrl[src_tile][ctrl]
+        ctx.latency = arrival + self._zero_load
         weave = self.ctrl_weaves[ctrl]
         if weave is not None:
             ctx.steps.append((weave, arrival, StepKind.READ))

@@ -10,7 +10,7 @@ private levels is predominantly due to the core itself, Section 3.2.1).
 
 from __future__ import annotations
 
-from repro.memory.access import AccessContext, AccessResult, StepKind
+from repro.memory.access import AccessContext, AccessResult
 from repro.memory.cache import Cache, MainMemory
 from repro.memory.coherence import MESI
 from repro.memory.network import Network
@@ -20,19 +20,13 @@ from repro.obs.histogram import Log2Histogram
 
 _HASH_MULT = 0x9E3779B1
 
-_MESI_S = MESI.S
 _MESI_E = MESI.E
 _MESI_M = MESI.M
 
-_SK_HIT = StepKind.HIT
-_SK_MISS = StepKind.MISS
-_SK_READ = StepKind.READ
-_SK_NOC = StepKind.NOC
-_SK_WBACK = StepKind.WBACK
-
-#: Scratch depth for the flattened walk: strictly more cache levels than
-#: any buildable hierarchy has (L1 -> L2 -> L3 is the deepest).
-_WALK_DEPTH = 8
+#: Attributes of older builds' capsules that no longer exist; dropped
+#: on load.
+_RETIRED_ATTRS = ("enable_flat_walk", "enable_l2_fastpath", "_walk_caches",
+                  "_walk_idx", "l2_fastpath_hits")
 
 #: Upper bound on pooled AccessResults; beyond this, recycled results are
 #: simply dropped to the GC (an interval with a pathological miss storm
@@ -171,22 +165,9 @@ class MemoryHierarchy:
         #: only); recomputed here in case a config ever changes that.
         self.enable_fastpath = all(
             c.weave is None for c in self.l1i + self.l1d)
-        #: The one-level-down fast path (L1 miss, parent read hit with
-        #: no downgrade needed; see access()).  Separately switchable so
-        #: tests can prove each path invisible on its own.
-        self.enable_l2_fastpath = self.enable_fastpath
-        #: The flattened walk (ISSUE 10): demand accesses that leave the
-        #: fast paths run in one iterative frame (_walk_access) instead
-        #: of recursing through Cache.handle_access.  Tests flip this
-        #: off to prove the two walks byte-identical; the recursive walk
-        #: also still serves prefetch fills and subtree coherence.
-        self.enable_flat_walk = True
-        self._walk_caches = [None] * _WALK_DEPTH
-        self._walk_idx = [0] * _WALK_DEPTH
         self._ctx_pool = []
         self._result_pool = []
         self.fastpath_hits = 0
-        self.l2_fastpath_hits = 0
         self.slow_accesses = 0
         self.ctx_reuses = 0
         self.result_reuses = 0
@@ -215,21 +196,9 @@ class MemoryHierarchy:
         checkpoint load.  Idempotent by construction.  This replaced
         the per-cache ``parent_select`` closures: the per-line bank
         arithmetic (hash mult + mask included) is inlined at the walk's
-        call sites, and nothing unpickleable is installed anywhere."""
-        # Controller routing tables for the flattened walk's terminal
-        # level: the tile of every controller and the zero-load network
-        # latency from every source tile to it (both pure functions of
-        # the static topology).
-        mem = self.mainmem
-        num_tiles = self.config.num_tiles
-        mem._num_ctrls = mem.config.controllers
-        mem._zero_load = mem.config.zero_load_latency
-        mem._ctrl_tiles = tuple(mem.controller_tile(ctrl)
-                                for ctrl in range(mem.config.controllers))
-        mem._net_to_ctrl = tuple(
-            tuple(self.network.latency(src, ctrl_tile)
-                  for ctrl_tile in mem._ctrl_tiles)
-            for src in range(num_tiles))
+        call sites, and nothing unpickleable is installed anywhere.
+        Main memory's controller tables hold no such references;
+        ``MainMemory`` builds them itself."""
         for cache in self.l3_banks:
             cache._parent_banks = (self.mainmem,)
             cache._parent_net = (0,)
@@ -262,25 +231,22 @@ class MemoryHierarchy:
         state["profiler"] = None
         state["_ctx_pool"] = []
         state["_result_pool"] = []
-        state["_walk_caches"] = [None] * _WALK_DEPTH
-        state["_walk_idx"] = [0] * _WALK_DEPTH
         return state
 
     def __setstate__(self, state):
+        # Capsules from builds with the retired L2-hit fast path and
+        # flattened walk carry their switches, scratch and counter.
+        for attr in _RETIRED_ATTRS:
+            state.pop(attr, None)
         self.__dict__.update(state)
         # Checkpoints written by builds without the data-plane slabs
         # lack these attributes; default them rather than crash.
         d = self.__dict__
         d.setdefault("enable_fastpath", all(
             c.weave is None for c in self.l1i + self.l1d))
-        d.setdefault("enable_l2_fastpath", d["enable_fastpath"])
-        d.setdefault("enable_flat_walk", True)
-        d.setdefault("_walk_caches", [None] * _WALK_DEPTH)
-        d.setdefault("_walk_idx", [0] * _WALK_DEPTH)
         d.setdefault("_ctx_pool", [])
         d.setdefault("_result_pool", [])
         d.setdefault("fastpath_hits", 0)
-        d.setdefault("l2_fastpath_hits", 0)
         d.setdefault("slow_accesses", 0)
         d.setdefault("ctx_reuses", 0)
         d.setdefault("result_reuses", 0)
@@ -353,77 +319,64 @@ class MemoryHierarchy:
         result.  A write hit needs the line in E or M; a write hit in S
         requires an upgrade and falls through to the coherence walk.
 
-        One level down (ISSUE 10), an L1 *read* miss whose parent holds
-        the line with no owner to downgrade is served by
-        :meth:`_shared_hit_fastpath` without recursing into
-        ``handle_access``."""
+        Every other access takes the one coherence walk,
+        ``Cache.handle_access`` on the L1 (see :mod:`repro.memory.cache`)."""
         line = addr >> self.line_bits
         l1 = self.l1i[core_id] if ifetch else self.l1d[core_id]
-        l1_idx = -1
-        entry = None
-        if self.enable_fastpath or self.enable_l2_fastpath:
+        if self.enable_fastpath:
             array = l1.array
             # Private L1 arrays are unhashed in every shipped config;
             # inline that set-index case.
             idx = (line % array.num_sets if not array.hash_sets
                    else array.set_index(line))
-            l1_idx = idx
             entry = array._lines[idx].get(line)
-            if entry is not None:
-                if self.enable_fastpath and \
-                        (not write or entry[1] >= _MESI_E):
-                    way = entry[0]
-                    repl = array._repl[idx]
-                    if type(repl) is _LRU:
-                        # LRU.touch, inlined (one stamp store).
-                        repl._stamp[way] = repl._clock
-                        repl._clock += 1
-                    else:
-                        repl.touch(way)
-                    l1.accesses += 1
-                    l1.hits += 1
-                    if write:
-                        array._lines[idx][line] = (way, _MESI_M)
-                    self.fastpath_hits += 1
-                    pool = self._result_pool
-                    if pool:
-                        result = pool.pop()
-                        self.result_reuses += 1
-                    else:
-                        result = AccessResult.__new__(AccessResult)
-                    latency = l1.latency
-                    result.latency = latency
-                    result.missed_levels = ()
-                    result.hit_level = l1.level
-                    result.steps = ()
-                    result.wbacks = ()
-                    result.line = line
-                    result.write = write
-                    result.core_id = core_id
-                    result.invalidations = 0
-                    result.shared_evictions = ()
-                    # Log2Histogram.record, inlined (latency is a
-                    # non-negative int, so the guards drop out).
-                    hist = self.access_latency
-                    b = latency.bit_length()
-                    hist._counts[b if b < 64 else 63] += 1
-                    hist.count += 1
-                    hist.total += latency
-                    if hist.min is None or latency < hist.min:
-                        hist.min = latency
-                    if hist.max is None or latency > hist.max:
-                        hist.max = latency
-                    if self._metrics_latency is not None:
-                        self._metrics_latency.record(latency)
-                    if self.profiler is not None:
-                        self.profiler.record(result, cycle)
-                    return result
-            elif not write and self.enable_l2_fastpath \
-                    and (ifetch or not self.prefetchers):
-                result = self._shared_hit_fastpath(l1, line, core_id,
-                                                   cycle)
-                if result is not None:
-                    return result
+            if entry is not None and (not write or entry[1] >= _MESI_E):
+                way = entry[0]
+                repl = array._repl[idx]
+                if type(repl) is _LRU:
+                    # LRU.touch, inlined (one stamp store).
+                    repl._stamp[way] = repl._clock
+                    repl._clock += 1
+                else:
+                    repl.touch(way)
+                l1.accesses += 1
+                l1.hits += 1
+                if write:
+                    array._lines[idx][line] = (way, _MESI_M)
+                self.fastpath_hits += 1
+                pool = self._result_pool
+                if pool:
+                    result = pool.pop()
+                    self.result_reuses += 1
+                else:
+                    result = AccessResult.__new__(AccessResult)
+                latency = l1.latency
+                result.latency = latency
+                result.missed_levels = ()
+                result.hit_level = l1.level
+                result.steps = ()
+                result.wbacks = ()
+                result.line = line
+                result.write = write
+                result.core_id = core_id
+                result.invalidations = 0
+                result.shared_evictions = ()
+                # Log2Histogram.record, inlined (latency is a
+                # non-negative int, so the guards drop out).
+                hist = self.access_latency
+                b = latency.bit_length()
+                hist._counts[b if b < 64 else 63] += 1
+                hist.count += 1
+                hist.total += latency
+                if hist.min is None or latency < hist.min:
+                    hist.min = latency
+                if hist.max is None or latency > hist.max:
+                    hist.max = latency
+                if self._metrics_latency is not None:
+                    self._metrics_latency.record(latency)
+                if self.profiler is not None:
+                    self.profiler.record(result, cycle)
+                return result
         self.slow_accesses += 1
         ctx_pool = self._ctx_pool
         if ctx_pool:
@@ -432,10 +385,7 @@ class MemoryHierarchy:
             self.ctx_reuses += 1
         else:
             ctx = AccessContext(core_id, line, write, ifetch)
-        if self.enable_flat_walk:
-            self._walk_access(l1, line, write, ctx, l1_idx, entry)
-        else:
-            l1.handle_access(line, write, None, ctx)
+        l1.handle_access(line, write, None, ctx)
         if (self.prefetchers and not ifetch
                 and "l1d" in ctx.missed_levels):
             self._prefetch(core_id, line, ctx)
@@ -465,414 +415,6 @@ class MemoryHierarchy:
         if self.profiler is not None:
             self.profiler.record(result, cycle)
         return result
-
-    def _shared_hit_fastpath(self, l1, line, core_id, cycle):
-        """Serve an L1 read miss that hits in the (single) parent with no
-        owner to downgrade, without recursing into ``handle_access``.
-
-        Every condition is checked on peeked state before any effect, so
-        a ``None`` return leaves zero side effects and the caller falls
-        through to the full walk.  The effects replicate the slow path
-        exactly — same counters, single repl touch at the parent, same
-        directory grant, same weave step at the same arrival offset —
-        which is what keeps fast-path on/off byte-identical."""
-        banks = l1._parent_banks
-        if banks is None or len(banks) != 1 or l1.noc_routes is not None:
-            return None
-        p = banks[0]
-        if p.level == "mem":
-            return None
-        parray = p.array
-        pidx = (line % parray.num_sets if not parray.hash_sets
-                else parray.set_index(line))
-        pentry = parray._lines[pidx].get(line)
-        if pentry is None:
-            return None
-        cid = l1.child_id
-        owner = p._owner.get(line)
-        if owner is not None and owner != cid:
-            return None
-        # Conditions hold — apply the slow walk's effects in its order.
-        l1.accesses += 1
-        l1.misses += 1
-        p.accesses += 1
-        p.hits += 1
-        p.dir_ops += 1
-        prepl = parray._repl[pidx]
-        if type(prepl) is _LRU:
-            prepl._stamp[pentry[0]] = prepl._clock
-            prepl._clock += 1
-        else:
-            prepl.touch(pentry[0])
-        rbit = 1 << cid
-        mask = p._sharers.get(line, 0) | rbit
-        p._sharers[line] = mask
-        if mask == rbit and pentry[1] >= _MESI_E:
-            p._owner[line] = cid
-            granted = _MESI_E
-        else:
-            granted = _MESI_S
-        victim, vstate = l1.array.fill(line, granted)
-        if victim is not None:
-            # L1s have no children, so the eviction needs no context:
-            # no shared_evictions, and Cache.child_evicted ignores ctx.
-            l1._evict(victim, vstate, None)
-        net = l1._parent_net[0]
-        arrival = l1.latency + net
-        latency = arrival + p.latency
-        self.l2_fastpath_hits += 1
-        pool = self._result_pool
-        if pool:
-            result = pool.pop()
-            self.result_reuses += 1
-        else:
-            result = AccessResult.__new__(AccessResult)
-        result.latency = latency
-        result.missed_levels = (l1.level,)
-        result.hit_level = p.level
-        weave = p.weave
-        result.steps = (() if weave is None
-                        else ((weave, arrival, StepKind.HIT),))
-        result.wbacks = ()
-        result.line = line
-        result.write = False
-        result.core_id = core_id
-        result.invalidations = 0
-        result.shared_evictions = ()
-        hist = self.access_latency
-        b = latency.bit_length()
-        hist._counts[b if b < 64 else 63] += 1
-        hist.count += 1
-        hist.total += latency
-        if hist.min is None or latency < hist.min:
-            hist.min = latency
-        if hist.max is None or latency > hist.max:
-            hist.max = latency
-        if self._metrics_latency is not None:
-            self._metrics_latency.record(latency)
-            self._telem.metrics.inc("mem.misses.%s" % l1.level)
-        if self.profiler is not None:
-            self.profiler.record(result, cycle)
-        return result
-
-    def _walk_access(self, l1, line, write, ctx, l1_idx=-1,
-                     l1_entry=None):
-        """The demand coherence walk, flattened into one iterative frame
-        (ISSUE 10).
-
-        Byte-identical in effects *and effect order* to the recursive
-        walk (``Cache.handle_access`` -> ``_fetch_and_fill`` ->
-        ``_grant_to_child`` -> ``_evict``), which remains in place as
-        the reference implementation (``enable_flat_walk=False``), for
-        prefetch fills, and for subtree coherence.  The recursion is
-        replaced by two loops over a preallocated path scratch — descend
-        recording misses until a hit or main memory, then unwind
-        granting and filling — with the latency accumulator, step list,
-        and routing tables bound to locals.  Rare coherence fan-out
-        (subtree invalidation/downgrade, upgrade acquires) still
-        dispatches into the recursive helpers; of those only
-        ``acquire_exclusive`` and main memory's ``child_evicted`` read
-        or write ``ctx.latency``, so the local accumulator is synced
-        around exactly those calls."""
-        latency = ctx.latency
-        steps = ctx.steps
-        missed = ctx.missed_levels
-        caches = self._walk_caches
-        idxs = self._walk_idx
-        depth = 0
-        c = l1
-        state = _MESI_S
-        # -- Descend: record misses until a hit or main memory ---------
-        while True:
-            c.accesses += 1
-            arrival = latency
-            latency = arrival + c.latency
-            array = c.array
-            lines = array._lines
-            if depth or l1_idx < 0:
-                ns = array.num_sets
-                if array.hash_sets:
-                    idx = (line ^ line // ns ^ line // (ns * ns)) % ns
-                else:
-                    idx = line % ns
-                entry = lines[idx].get(line)
-            else:
-                # The caller's fast-path prologue already peeked L1.
-                idx = l1_idx
-                entry = l1_entry
-            if entry is not None:
-                break
-            c.misses += 1
-            missed.append(c.level)
-            if c.weave is not None:
-                steps.append((c.weave, arrival, _SK_MISS))
-            banks = c._parent_banks
-            if len(banks) == 1:
-                parent = banks[0]
-                net = c._parent_net[0]
-            else:
-                key = ((line * _HASH_MULT) & 0xFFFFFFFF) >> 8 \
-                    if c._parent_hashed else line
-                bank = key % len(banks)
-                parent = banks[bank]
-                net = c._parent_net[bank]
-            if c.noc_routes is not None:
-                route = c.noc_routes.get(
-                    (c.tile, getattr(parent, "tile", c.tile)))
-                if route is not None:
-                    steps.append((route, latency, _SK_NOC))
-            latency += net
-            caches[depth] = c
-            idxs[depth] = idx
-            depth += 1
-            if parent.level != "mem":
-                c = parent
-                continue
-            # -- Terminal level: MainMemory.handle_access, inlined -----
-            m = parent
-            m.reads += 1
-            ctrl = line % m._num_ctrls
-            src_tile = c.tile
-            ctrl_tile = m._ctrl_tiles[ctrl]
-            if m.noc_routes is not None and src_tile != ctrl_tile:
-                route = m.noc_routes.get((src_tile, ctrl_tile))
-                if route is not None:
-                    steps.append((route, latency, _SK_NOC))
-            latency += m._net_to_ctrl[src_tile][ctrl]
-            arrival = latency
-            latency += m._zero_load
-            weave = m.ctrl_weaves[ctrl]
-            if weave is not None:
-                steps.append((weave, arrival, _SK_READ))
-            rid = c.child_id
-            rbit = 1 << rid
-            sharers = m._sharers
-            mask = sharers.get(line, 0)
-            m.dir_ops += 1
-            if write:
-                others = mask & ~rbit
-                if others:
-                    children = m.children
-                    while others:
-                        low = others & -others
-                        others ^= low
-                        children[low.bit_length() - 1] \
-                            .invalidate_subtree(line, ctx)
-                        ctx.invalidations += 1
-                sharers[line] = rbit
-                m._owner[line] = rid
-                state = _MESI_E
-            else:
-                owner = m._owner.get(line)
-                if owner is not None and owner != rid:
-                    m.children[owner].downgrade_subtree(line, ctx)
-                    del m._owner[line]
-                mask |= rbit
-                sharers[line] = mask
-                if mask == rbit:
-                    m._owner[line] = rid
-                    state = _MESI_E
-                else:
-                    state = _MESI_S
-            entry = None
-            grantor = None
-            break
-        # -- Hit bookkeeping (cache ``c``; main memory handled above) --
-        if entry is not None:
-            repl = array._repl[idx]
-            if type(repl) is _LRU:
-                repl._stamp[entry[0]] = repl._clock
-                repl._clock += 1
-            else:
-                repl.touch(entry[0])
-            state = entry[1]
-            c.hits += 1
-            if ctx.hit_level is None:
-                ctx.hit_level = c.level
-            if c.weave is not None:
-                steps.append((c.weave, arrival, _SK_HIT))
-            if write and state == _MESI_S:
-                # Upgrade: gain exclusivity from the parent level.
-                c.upgrades += 1
-                banks = c._parent_banks
-                if len(banks) == 1:
-                    parent = banks[0]
-                    net = c._parent_net[0]
-                else:
-                    key = ((line * _HASH_MULT) & 0xFFFFFFFF) >> 8 \
-                        if c._parent_hashed else line
-                    bank = key % len(banks)
-                    parent = banks[bank]
-                    net = c._parent_net[bank]
-                latency += net
-                ctx.latency = latency
-                parent.acquire_exclusive(line, c, ctx)
-                latency = ctx.latency
-                state = _MESI_E
-                lines[idx][line] = (entry[0], _MESI_E)
-            if depth == 0:
-                # L1 hit: apply the access to our own copy.
-                if write:
-                    lines[idx][line] = (lines[idx][line][0], _MESI_M)
-                    state = _MESI_M
-                ctx.latency = latency
-                return state
-            grantor = c
-        # -- Unwind: grant downward-walk order, fill, evict victims ----
-        i = depth - 1
-        while i >= 0:
-            cc = caches[i]
-            if grantor is not None:
-                # Cache._grant_to_child, inlined.
-                rid = cc.child_id
-                rbit = 1 << rid
-                sharers = grantor._sharers
-                mask = sharers.get(line, 0)
-                grantor.dir_ops += 1
-                if write:
-                    dirty = False
-                    others = mask & ~rbit
-                    if others:
-                        children = grantor.children
-                        down = grantor.down_latency
-                        while others:
-                            low = others & -others
-                            others ^= low
-                            dirty |= children[low.bit_length() - 1] \
-                                .invalidate_subtree(line, ctx)
-                            latency += down
-                            ctx.invalidations += 1
-                    sharers[line] = rbit
-                    grantor._owner[line] = rid
-                    if dirty:
-                        grantor.array.update_state(line, _MESI_M)
-                    state = _MESI_E
-                else:
-                    owner = grantor._owner.get(line)
-                    if owner is not None and owner != rid:
-                        dirty = grantor.children[owner] \
-                            .downgrade_subtree(line, ctx)
-                        latency += grantor.down_latency
-                        del grantor._owner[line]
-                        if dirty:
-                            grantor.array.update_state(line, _MESI_M)
-                            state = _MESI_M
-                    mask |= rbit
-                    sharers[line] = mask
-                    if mask == rbit and state >= _MESI_E:
-                        grantor._owner[line] = rid
-                        state = _MESI_E
-                    else:
-                        state = _MESI_S
-            # CacheArray.fill, inlined (the walk guarantees a miss here).
-            carray = cc.array
-            cidx = idxs[i]
-            clines = carray._lines[cidx]
-            cways = carray._ways[cidx]
-            crepl = carray._repl[cidx]
-            cfree = carray._free
-            crepl_lru = type(crepl) is _LRU
-            if cfree[cidx]:
-                way = cways.index(None)
-                cfree[cidx] -= 1
-                victim = None
-            elif crepl_lru:
-                # LRU.victim, inlined: smallest stamp.
-                cstamp = crepl._stamp
-                way = cstamp.index(min(cstamp))
-                victim = cways[way]
-                vstate = clines[victim][1]
-                del clines[victim]
-            else:
-                way = crepl.victim()
-                victim = cways[way]
-                vstate = clines[victim][1]
-                del clines[victim]
-            cways[way] = line
-            clines[line] = (way, state)
-            if crepl_lru:
-                crepl._stamp[way] = crepl._clock
-                crepl._clock += 1
-            else:
-                crepl.touch(way)
-            if victim is not None:
-                # Cache._evict, inlined (inclusive: purge below first).
-                cc.evictions += 1
-                if cc.children:
-                    ctx.shared_evictions += (victim,)
-                dirty = vstate == _MESI_M
-                cc._owner.pop(victim, None)
-                vmask = cc._sharers.pop(victim, 0)
-                if vmask:
-                    children = cc.children
-                    while vmask:
-                        low = vmask & -vmask
-                        vmask ^= low
-                        dirty |= children[low.bit_length() - 1] \
-                            .invalidate_subtree(victim, ctx)
-                vbanks = cc._parent_banks
-                if len(vbanks) == 1:
-                    vparent = vbanks[0]
-                else:
-                    key = ((victim * _HASH_MULT) & 0xFFFFFFFF) >> 8 \
-                        if cc._parent_hashed else victim
-                    vparent = vbanks[key % len(vbanks)]
-                if type(vparent) is Cache:
-                    # Cache.child_evicted, inlined (never reads ctx).
-                    vparent.dir_ops += 1
-                    psharers = vparent._sharers
-                    pmask = psharers.get(victim)
-                    if pmask is not None:
-                        pmask &= ~(1 << cc.child_id)
-                        if pmask:
-                            psharers[victim] = pmask
-                        else:
-                            del psharers[victim]
-                    if vparent._owner.get(victim) == cc.child_id:
-                        del vparent._owner[victim]
-                    if dirty:
-                        parray = vparent.array
-                        plines = parray._lines[
-                            victim % parray.num_sets
-                            if not parray.hash_sets
-                            else parray.set_index(victim)]
-                        pentry = plines.get(victim)
-                        if pentry is not None:
-                            plines[victim] = (pentry[0], _MESI_M)
-                elif type(vparent) is MainMemory:
-                    # MainMemory.child_evicted, inlined; the writeback
-                    # step is timestamped from the local accumulator.
-                    vparent.dir_ops += 1
-                    psharers = vparent._sharers
-                    pmask = psharers.get(victim)
-                    if pmask is not None:
-                        pmask &= ~(1 << cc.child_id)
-                        if pmask:
-                            psharers[victim] = pmask
-                        else:
-                            del psharers[victim]
-                    if vparent._owner.get(victim) == cc.child_id:
-                        del vparent._owner[victim]
-                    if dirty:
-                        vparent.writebacks += 1
-                        wb_weave = vparent.ctrl_weaves[
-                            victim % vparent._num_ctrls]
-                        if wb_weave is not None:
-                            ctx.wbacks.append(
-                                (wb_weave, latency, _SK_WBACK))
-                else:
-                    ctx.latency = latency
-                    vparent.child_evicted(victim, cc, dirty, ctx)
-                if dirty:
-                    cc.writebacks += 1
-            grantor = cc
-            i -= 1
-        if write:
-            # Leaf (L1): apply the access to our own copy.
-            clines[line] = (way, _MESI_M)
-            state = _MESI_M
-        ctx.latency = latency
-        return state
 
     def recycle_results(self, results):
         """Return dead :class:`AccessResult` objects to the slab.

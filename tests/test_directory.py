@@ -230,14 +230,9 @@ def _build_hierarchy(monkeypatch, reference):
         monkeypatch.setattr(hmod, "Cache", Cache)
         monkeypatch.setattr(hmod, "MainMemory", MainMemory)
     h = hmod.MemoryHierarchy(cfg, build_weave=False)
-    # The fast paths read bitmask directories directly; the reference
-    # hierarchy cannot serve them, so both run the full walk.
+    # Both hierarchies send every access down the coherence walk, so
+    # each one exercises the directory representation under test.
     h.enable_fastpath = False
-    h.enable_l2_fastpath = False
-    if reference:
-        # The flat walk inlines bitmask directory ops; the reference
-        # hierarchy must take the recursive (set-of-objects) walk.
-        h.enable_flat_walk = False
     return h
 
 
@@ -338,9 +333,8 @@ class TestBitmaskDirectoryLockstep:
 
 def _write_legacy_capsule(src_path, dst_path):
     """Rewrite a capsule into the pre-refactor on-disk form: directory
-    entries as object graphs, no child ids, no dir odometer, and the
-    hierarchy stripped of the fast-path/slab fields this PR and the
-    data-plane one added."""
+    entries as object graphs, no child ids, no dir odometer, no main
+    memory controller tables, and recency-list LRU state."""
     capsule = read_checkpoint(src_path)
     sim = capsule["sim"]
     hier = sim.hierarchy
@@ -365,10 +359,6 @@ def _write_legacy_capsule(src_path, dst_path):
     for attr in ("_num_ctrls", "_zero_load", "_ctrl_tiles",
                  "_net_to_ctrl"):
         mem.__dict__.pop(attr, None)
-    for attr in ("enable_l2_fastpath", "l2_fastpath_hits"):
-        del hier.__dict__[attr]
-    for attr in ("enable_flat_walk", "_walk_caches", "_walk_idx"):
-        hier.__dict__.pop(attr, None)
     # Pre-refactor LRU kept a recency list; rewrite stamps back.
     for cache in hier.all_caches():
         for repl in cache.array._repl:
@@ -424,9 +414,6 @@ class TestLegacyCapsuleMigration:
             assert cache._parent_banks is not None
         assert all(isinstance(m, int)
                    for m in hier.mainmem._sharers.values())
-        assert hier.enable_l2_fastpath == hier.enable_fastpath
-        assert hier.l2_fastpath_hits == 0
-        assert hier.enable_flat_walk
         assert hier.mainmem._net_to_ctrl is not None
         l1_repl = hier.l1d[0].array._repl[0]
         assert isinstance(l1_repl, LRU) and hasattr(l1_repl, "_stamp")
