@@ -1,84 +1,53 @@
-"""Weave-phase domains: vertical slices of the chip, one event queue each.
+"""Weave-phase domains: vertical slices of the chip.
 
 Components (cores, shared cache banks, memory controllers) are statically
-partitioned into domains by tile (Section 3.2.2, Figure 3).  Each domain
-owns a priority queue of events and — in real zsim — a host thread; here
-domains are executed cooperatively by the engine, which always advances
-the domain with the earliest pending event (a conservative, deterministic
-emulation of the parallel execution).
+partitioned into domains by tile (Section 3.2.2, Figure 3).  In real zsim
+each domain owns an event queue and a host thread.  Here the domains'
+events share one heap owned by :class:`~repro.core.weave.WeaveEngine`,
+keyed ``(cycle, domain_id, seq)`` so that it always advances the domain
+with the earliest pending event (a conservative, deterministic emulation
+of the parallel execution); a :class:`Domain` keeps only its clock and
+counters.
 """
 
 from __future__ import annotations
 
-import heapq
-
-from repro.errors import HorizonViolation
+#: Attributes of older builds' pickled domains, dropped on load (their
+#: event queues moved to the engine heap).
+_RETIRED = ("_queue", "_pop_floor")
 
 
 class Domain:
-    """One weave domain: an event priority queue with its own clock."""
+    """One weave domain: its clock and its last interval's event
+    counters."""
 
     def __init__(self, domain_id):
         self.domain_id = domain_id
-        self._queue = []
+        #: Entries ever pushed for this domain (events and probes).
         self._seq = 0
         self.current_cycle = 0
         self.events_executed = 0
         self.crossings = 0
         self.crossing_requeues = 0
-        #: Horizon invariant floor: within one interval, every push lands
-        #: at or above the cycle of the pop that caused it, so per-domain
-        #: pops are nondecreasing in *every* legal execution.  A pop
-        #: below the floor means a corrupt timestamp or a broken
-        #: executor.
-        self._pop_floor = None
 
-    def push(self, cycle, item):
-        self._seq += 1
-        heapq.heappush(self._queue, (cycle, self._seq, item))
+    def __setstate__(self, state):
+        for attr in _RETIRED:
+            state.pop(attr, None)
+        self.__dict__.update(state)
 
-    def pop(self):
-        cycle, _seq, item = heapq.heappop(self._queue)
-        floor = self._pop_floor
-        if floor is not None and cycle < floor:
-            raise HorizonViolation(
-                "domain %d popped an event at cycle %d below its "
-                "interval floor %d: corrupt event timestamp or broken "
-                "horizon discipline" % (self.domain_id, cycle, floor),
-                cycle=cycle, floor=floor, phase="weave",
-                domain=self.domain_id)
-        self._pop_floor = cycle
-        if cycle > self.current_cycle:
-            self.current_cycle = cycle
-        return cycle, item
-
-    def head_cycle(self):
-        return self._queue[0][0] if self._queue else None
-
-    def __len__(self):
-        return len(self._queue)
-
-    def integrity_items(self):
+    def integrity_items(self, queued=()):
         """Digest items for the integrity sentinel: clocks, counters,
-        and queued (cycle, seq) pairs — normally none, since the weave
-        phase drains every queue before the barrier."""
+        and ``queued`` — this domain's (cycle, seq) pairs still in the
+        engine heap, normally none, since the weave phase drains the
+        heap before the barrier."""
         yield (self.domain_id, self.current_cycle, self.events_executed,
                self.crossings, self.crossing_requeues, self._seq,
-               len(self._queue))
-        if self._queue:
-            yield tuple(sorted((cycle, seq)
-                               for cycle, seq, _item in self._queue))
-
-    def reset_interval_stats(self):
-        self.events_executed = 0
-        self.crossings = 0
-        self.crossing_requeues = 0
-        # New interval, new floor: delays from a congested interval may
-        # legitimately exceed the next interval's earliest timestamps.
-        self._pop_floor = None
+               len(queued))
+        if queued:
+            yield tuple(sorted(queued))
 
     def __repr__(self):
-        return "Domain(%d, %d queued)" % (self.domain_id, len(self._queue))
+        return "Domain(%d, cycle %d)" % (self.domain_id, self.current_cycle)
 
 
 class CoreWeave:

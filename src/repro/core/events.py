@@ -55,10 +55,6 @@ class WeaveEvent:
         self.children.append((child, gap))
         child.parents_left += 1
 
-    @property
-    def domain(self):
-        return self.component.domain if self.component is not None else 0
-
     def __repr__(self):
         return ("WeaveEvent(%s@%s, min=%d, done=%s)"
                 % (self.kind,

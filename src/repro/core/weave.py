@@ -12,11 +12,18 @@ MLP window: access *i* cannot issue before the response of access
 *i - mlp*, which serializes blocking (IPC1) cores and preserves overlap
 for OOO cores.  Writebacks hang off the chain as side events.
 
-Domains execute cooperatively: the engine always advances the domain with
-the earliest pending event — a deterministic, conservative emulation of
-zsim's one-thread-per-domain execution.  Cross-domain dependencies are
-tracked as domain-crossing events with requeue accounting, including the
-paper's crossing-dependency optimization (and its ablation).
+Domains execute cooperatively on one engine-owned heap of
+``(cycle, domain_id, seq, item)`` entries, ``seq`` counting the
+interval's pushes.  That order is exactly "advance the domain with the
+earliest pending event, ties to the lowest domain index, FIFO within a
+domain" — a deterministic, conservative emulation of zsim's
+one-thread-per-domain execution, at O(log events) per pop however many
+domains there are.  Every push lands at or above the cycle of the pop
+that caused it, so pops are nondecreasing across all domains and one
+interval-wide floor checks the horizon discipline.  Cross-domain
+dependencies are tracked as domain-crossing events with requeue
+accounting, including the paper's crossing-dependency optimization (and
+its ablation).
 """
 
 from __future__ import annotations
@@ -30,11 +37,18 @@ from repro.errors import HorizonViolation
 from repro.obs.tracer import TID_DOMAIN
 
 
+#: The floor before an interval's first pop.
+_NO_FLOOR = float("-inf")
+
+
 class _Crossing:
     """Premature-synchronization probe for a cross-domain edge (only
     materialized when the crossing-dependency optimization is off)."""
 
     __slots__ = ("parent", "gap")
+
+    #: No component: the drain tells probes from events by this.
+    component = None
 
     def __init__(self, parent, gap):
         self.parent = parent
@@ -84,30 +98,40 @@ class WeaveEngine:
         #: Per-domain executed-event counts of the last interval, for the
         #: host-parallelism model.
         self.last_interval_domain_events = [0] * len(self.domains)
+        #: The interval's event heap: ``(cycle, domain_id, seq, item)``
+        #: entries, empty at every barrier.
+        self.heap = []
+
+    def __setstate__(self, state):
+        # Engines pickled by older builds predate the service-time cache
+        # and the engine heap (their queues lived on the domains).
+        state.setdefault("_svc_cache", {})
+        state.setdefault("heap", [])
+        self.__dict__.update(state)
 
     # ------------------------------------------------------------------
 
-    def run_interval(self, traces, executor=None):
+    def run_interval(self, traces, after_seed=None):
         """Simulate one interval.  ``traces`` maps core_id -> list of
         (issue_cycle, AccessResult).  Returns {core_id: delay}.
 
-        ``executor`` — a callable taking the built event list — replaces
-        *how* the event graph executes (the process backend's
-        fault-injecting drain); ``None`` uses the engine's
-        earliest-first reference executor.  Any executor must produce
-        the same per-component ``occupy`` order as the reference, which
-        is the order simulated timing depends on."""
+        ``after_seed`` — a no-argument callable — runs once the root
+        events sit in :attr:`heap` and before the first pop (the process
+        backend's queue-corruption seam).  It may edit the heap; it
+        cannot replace the drain."""
         self.stats.intervals += 1
         telem = self._telem
         start = time.perf_counter() if telem is not None else 0.0
-        for domain in self.domains:
-            domain.reset_interval_stats()
         events, last_resp = self._build_events(traces)
-        if events:
-            if executor is None:
-                self._execute(events)
-            else:
-                executor(events)
+        self._drain(events, after_seed)
+        if self.journal is not None:
+            # In start order (ties by domain, then build order): an
+            # event starts at its final ``ready`` cycle.
+            self.journal.extend(
+                (event.component.name, event.kind, event.min_cycle,
+                 event.ready, event.done, event.core_id)
+                for event in sorted(events, key=lambda event: (
+                    event.ready, event.component.domain)))
         delays = {}
         for core_id, resp in last_resp.items():
             delay = (resp.done or resp.min_cycle) - resp.min_cycle
@@ -177,9 +201,7 @@ class WeaveEngine:
         # events can pick up a second (MLP-window) edge.
         pool = self.pool
         free_list = pool._free
-        svc_cache = self.__dict__.get("_svc_cache")
-        if svc_cache is None:  # engine restored from an older capsule
-            svc_cache = self._svc_cache = {}
+        svc_cache = self._svc_cache
         svc_get = svc_cache.get
         events = []
         events_append = events.append
@@ -305,170 +327,117 @@ class WeaveEngine:
 
     # ------------------------------------------------------------------
 
-    def _execute(self, events):
-        """Reference execution: seed the domain queues, then drain
-        earliest-first.  Backends may replace the drain (via the
-        ``executor`` hook of :meth:`run_interval`) but reuse
-        :meth:`seed_queues`.
+    def _drain(self, events, after_seed):
+        """Seed the heap with the root events (no pending parents), run
+        ``after_seed``, then pop earliest-first until the heap is empty.
 
-        The single-domain case inlines the seeding as well: every event
-        lands in domain 0 with the same incrementing-seq heap entries
-        :meth:`Domain.push` would build, skipping the per-event
-        ``domain`` property and push call."""
+        With the crossing-dependency optimization ablated (premature
+        synchronization), every cross-domain edge additionally gets an
+        eager :class:`_Crossing` probe on the child's side, requeued
+        until its parent finishes; the delivery itself still comes from
+        the parent.  Domain clocks and the interval's counters live in
+        locals and are written back on every exit, so an aborted
+        interval still reports honestly."""
         domains = self.domains
-        if len(domains) == 1 and self.journal is None:
-            domain = domains[0]
-            queue = domain._queue
-            seq = domain._seq
-            heappush = heapq.heappush
-            for event in events:
-                if event.parents_left == 0:
-                    seq += 1
-                    heappush(queue, (event.min_cycle, seq, event))
-            domain._seq = seq
-            self._drain_single(domain)
-            return
-        self.seed_queues(events)
-        self._drain_earliest_first()
-
-    def seed_queues(self, events):
-        """Enqueue root events (no pending parents) into their domains.
-
-        With the crossing-dependency optimization disabled (ablation:
-        premature synchronization), every non-root event whose incoming
-        edge crosses domains additionally gets an eager
-        :class:`_Crossing` probe from the child's side — the delivery
-        itself still comes from the parent when it finishes."""
-        domains = self.domains
+        heap = []
         for event in events:
             if event.parents_left == 0:
-                domains[event.domain].push(event.min_cycle, event)
+                heap.append((event.min_cycle, event.component.domain,
+                             len(heap) + 1, event))
         if not self.crossing_deps:
             for event in events:
+                domain = event.component.domain
                 for child, gap in event.children:
-                    if child.domain != event.domain:
-                        probe = _Crossing(event, gap)
-                        domains[child.domain].push(child.min_cycle, probe)
-
-    def _drain_earliest_first(self):
-        """Always advance the domain with the earliest pending event —
-        a deterministic, conservative emulation of zsim's
-        thread-per-domain execution (see module docs)."""
-        domains = self.domains
-        if len(domains) == 1 and self.journal is None:
-            # With one domain there is nothing to arbitrate between and
-            # no edge can cross domains (so no crossings and, even with
-            # the optimization ablated, no probes): the generic scan
-            # collapses to a plain heap drain.
-            self._drain_single(domains[0])
-            return
-        while True:
-            best = None
-            best_cycle = None
-            for domain in domains:
-                head = domain.head_cycle()
-                if head is not None and (best_cycle is None
-                                         or head < best_cycle):
-                    best_cycle = head
-                    best = domain
-            if best is None:
-                break
-            cycle, item = best.pop()
-            if isinstance(item, _Crossing):
-                self._run_crossing(best, cycle, item)
-            else:
-                self._run_event(best, cycle, item)
-
-    def _drain_single(self, domain):
-        """Inlined drain for the single-domain case: identical pop order
-        ((cycle, seq) heap discipline), identical per-component ``occupy``
-        order, and the same horizon-floor invariant as
-        :meth:`Domain.pop` + :meth:`_run_event`, with the queue and
-        bookkeeping held in locals.  Domain counters are written back on
-        every exit so an aborted interval still reports honestly."""
-        queue = domain._queue
+                    child_domain = child.component.domain
+                    if child_domain != domain:
+                        heap.append((child.min_cycle, child_domain,
+                                     len(heap) + 1, _Crossing(event, gap)))
+        heapq.heapify(heap)
+        self.heap = heap
+        seq = len(heap)
+        if after_seed is not None:
+            after_seed()
         heappop = heapq.heappop
         heappush = heapq.heappush
-        floor = domain._pop_floor
-        seq = domain._seq
-        executed = 0
+        num = len(domains)
+        executed = [0] * num
+        crossings = [0] * num
+        requeues = [0] * num
+        # Popped entries that executed no event: probes, and a pop that
+        # broke the floor.
+        other_pops = [0] * num
+        clocks = [domain.current_cycle for domain in domains]
+        last_pop = clocks[:]
+        floor = _NO_FLOOR
         try:
-            while queue:
-                cycle, _s, event = heappop(queue)
-                if floor is not None and cycle < floor:
+            while heap:
+                cycle, dom, _seq, item = heappop(heap)
+                if cycle < floor:
+                    other_pops[dom] += 1
                     raise HorizonViolation(
-                        "domain %d popped an event at cycle %d below its "
+                        "domain %d popped an event at cycle %d below the "
                         "interval floor %d: corrupt event timestamp or "
-                        "broken horizon discipline"
-                        % (domain.domain_id, cycle, floor),
+                        "broken horizon discipline" % (dom, cycle, floor),
                         cycle=cycle, floor=floor, phase="weave",
-                        domain=domain.domain_id)
+                        domain=dom)
                 floor = cycle
-                start = event.ready
-                if cycle > start:
-                    start = cycle
-                comp = event.component
+                last_pop[dom] = cycle
+                # An event is pushed once its last parent delivered, at
+                # its final ``ready`` cycle, so it starts at ``cycle``.
+                comp = item.component
                 if type(comp) is CoreWeave:
                     # CoreWeave.occupy, inlined: REQ/RESP events (about
                     # half of all events) have no occupancy state.
                     comp.events_executed += 1
-                    done = start
+                    done = cycle
+                elif comp is None:
+                    # A crossing probe.  If its parent has not finished,
+                    # requeue at the parent domain's clock plus the
+                    # parent->child delay (Section 3.2.2).
+                    other_pops[dom] += 1
+                    parent = item.parent
+                    if parent.done is None:
+                        parent_dom = parent.component.domain
+                        now = max(clocks[parent_dom], last_pop[parent_dom])
+                        requeues[dom] += 1
+                        seq += 1
+                        heappush(heap, (max(cycle + 1,
+                                            now + max(1, item.gap)),
+                                        dom, seq, item))
+                    continue
                 else:
-                    done = comp.occupy(start, event.kind, event.line)
-                event.done = done
-                executed += 1
-                for child, gap in event.children:
+                    done = comp.occupy(cycle, item.kind, item.line)
+                item.done = done
+                executed[dom] += 1
+                for child, gap in item.children:
                     left = child.parents_left - 1
                     child.parents_left = left
                     candidate = done + gap
                     if candidate > child.ready:
                         child.ready = candidate
                     if left == 0:
-                        ready = child.ready
-                        min_cycle = child.min_cycle
+                        # ``ready`` starts at ``min_cycle`` and only grows.
+                        child_dom = child.component.domain
+                        if child_dom != dom:
+                            crossings[child_dom] += 1
                         seq += 1
-                        heappush(queue,
-                                 (ready if ready > min_cycle
-                                  else min_cycle, seq, child))
+                        heappush(heap, (child.ready, child_dom, seq, child))
         finally:
-            domain._pop_floor = floor
-            domain._seq = seq
-            domain.events_executed += executed
-            if floor is not None and floor > domain.current_cycle:
-                domain.current_cycle = floor
+            left_queued = [0] * num
+            for entry in heap:
+                left_queued[entry[1]] += 1
+            for i, domain in enumerate(domains):
+                domain.events_executed = executed[i]
+                domain.crossings = crossings[i]
+                domain.crossing_requeues = requeues[i]
+                domain._seq += executed[i] + other_pops[i] + left_queued[i]
+                domain.current_cycle = max(clocks[i], last_pop[i])
 
-    def _run_event(self, domain, cycle, event):
-        start = cycle if cycle >= event.ready else event.ready
-        event.done = event.component.occupy(start, event.kind, event.line)
-        domain.events_executed += 1
-        if self.journal is not None:
-            self.journal.append((event.component.name, event.kind,
-                                 event.min_cycle, start, event.done,
-                                 event.core_id))
-        for child, gap in event.children:
-            child.parents_left -= 1
-            candidate = event.done + gap
-            if candidate > child.ready:
-                child.ready = candidate
-            if child.parents_left == 0:
-                target = self.domains[child.domain]
-                if child.domain != event.domain:
-                    target.crossings += 1
-                enqueue_at = child.ready if child.ready > child.min_cycle \
-                    else child.min_cycle
-                target.push(enqueue_at, child)
-
-    def _run_crossing(self, domain, cycle, crossing):
-        parent = crossing.parent
-        if parent.done is not None:
-            return  # parent finished; the real delivery already happened
-        # Premature synchronization: requeue at the parent domain's
-        # current cycle plus the parent->child delay (Section 3.2.2).
-        parent_domain = self.domains[parent.domain]
-        requeue = max(cycle + 1,
-                      parent_domain.current_cycle + max(1, crossing.gap))
-        domain.crossing_requeues += 1
-        domain.push(requeue, crossing)
+    def queued(self, domain_id):
+        """``(cycle, seq)`` of ``domain_id``'s entries still in the heap
+        (none at a barrier unless a drain aborted)."""
+        return [(cycle, seq) for cycle, dom, seq, _item in self.heap
+                if dom == domain_id]
 
     # ------------------------------------------------------------------
 

@@ -64,10 +64,11 @@ class ExecutionFault(SimulationError):
 
 
 class HorizonViolation(ExecutionFault):
-    """A weave domain popped an event below its per-interval cycle
-    floor: event timestamps are corrupt or an executor broke the
-    horizon discipline (pops per domain are nondecreasing within an
-    interval in every legal execution)."""
+    """The weave drain popped an event below the interval's cycle
+    floor: event timestamps are corrupt or the horizon discipline broke
+    (pops are nondecreasing across all domains within an interval in
+    every legal execution).  ``domain`` names the popped event's
+    domain."""
 
     def __init__(self, message, cycle=None, floor=None, **ctx):
         super().__init__(message, **ctx)

@@ -9,8 +9,9 @@ A backend executes the work the engine layers describe:
   semantics (it determines cache replacement state, futex handoffs, and
   ultimately cycles).  Backends are free to speculate on worker
   processes as long as the committed effects keep that order.
-* ``run_weave`` — one weave-phase interval.  The reference semantics is
-  the engine's earliest-first cooperative executor.
+* ``run_weave`` — one weave-phase interval, drained by the engine's one
+  earliest-first heap (backends may only hook in between its seeding
+  and its drain).
 
 Lifecycle: ``start(sim)`` is called once when a :class:`~repro.core.ZSim`
 adopts the backend, ``shutdown()`` when a run finishes (worker

@@ -730,14 +730,8 @@ class ProcessBackend(ExecutionBackend):
         if plan is None:
             return weave.run_interval(traces)
         return weave.run_interval(
-            traces,
-            executor=lambda events: self._corrupt_execute(weave, events))
-
-    def _corrupt_execute(self, weave, events):
-        weave.seed_queues(events)
-        self.fault_plan.corrupt(weave, weave.stats.intervals,
-                                self._flight())
-        weave._drain_earliest_first()
+            traces, after_seed=lambda: plan.corrupt(
+                weave, weave.stats.intervals, self._flight()))
 
     # -- observability -------------------------------------------------
 

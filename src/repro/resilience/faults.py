@@ -7,10 +7,10 @@ silently vanishes*.  The simulator and backends consult the plan at
 three seams:
 
 * **Weave-queue corruption** (``plan.corrupt``, the ``weave-queue``
-  seam): after the process backend seeds the weave queues for an
-  interval, matching :class:`CorruptEvent` faults rewrite one queued
-  timestamp in place — the heap surfaces it out of order and
-  :class:`~repro.errors.HorizonViolation` fires on pop.
+  seam): on the process backend, between the weave engine's seeding
+  and its drain, matching :class:`CorruptEvent` faults rewrite one
+  queued timestamp in the engine heap — the heap surfaces it out of
+  order and :class:`~repro.errors.HorizonViolation` fires on pop.
 * **State scribbling** (``plan.scribble``): between the bound and weave
   phases of every interval, on every backend, core-selector corrupt
   faults damage architectural state that only the integrity sentinel
@@ -45,6 +45,7 @@ Intervals are 1-based, matching the engine's interval counters.
 
 from __future__ import annotations
 
+import heapq
 import random
 import signal
 
@@ -86,11 +87,12 @@ class Fault:
 class CorruptEvent(Fault):
     """State corruption, in two flavors selected by the selector:
 
-    * ``corrupt@I[:dN]`` (domain selector or none) rewrites one queued
-      weave timestamp to a wildly early cycle.  The entry sits at a
-      heap leaf; the first pop promotes it to the root, the second pop
-      surfaces it below the domain's interval floor and
-      :class:`~repro.errors.HorizonViolation` fires — a *loud* fault.
+    * ``corrupt@I[:dN]`` (domain selector or none) rewrites one of
+      domain N's queued weave timestamps to a wildly early cycle and
+      re-files the entry as the engine heap's last leaf; the first pop
+      promotes it to the root, the second pop surfaces it below the
+      interval floor and :class:`~repro.errors.HorizonViolation` fires
+      with ``domain=N`` — a *loud* fault.
     * ``corrupt@I:cN`` (core selector) silently invalidates a line the
       core's L1D still holds from the parent cache's array, leaving the
       coherence directory untouched — an inclusion violation with **no
@@ -108,17 +110,20 @@ class CorruptEvent(Fault):
         return "scribble" if self.core is not None else "weave-queue"
 
     def apply(self, weave, rng):
-        domains = list(weave.domains)
+        domains = [d.domain_id for d in weave.domains]
         if self.domain is not None:
-            domains = [d for d in domains if d.domain_id == self.domain]
+            domains = [d for d in domains if d == self.domain]
         else:
             rng.shuffle(domains)
+        heap = weave.heap
         for domain in domains:
             # Need >= 2 entries: the corrupted one must not be the very
             # first pop (no floor yet, nothing to violate).
-            if len(domain._queue) >= 2:
-                cycle, seq, item = domain._queue[-1]
-                domain._queue[-1] = (cycle - self.DELTA, seq, item)
+            mine = [i for i, entry in enumerate(heap) if entry[1] == domain]
+            if len(mine) >= 2:
+                cycle, dom, seq, item = heap.pop(mine[-1])
+                heapq.heapify(heap)
+                heap.append((cycle - self.DELTA, dom, seq, item))
                 self.fired = True
                 return True
         return False
@@ -256,7 +261,8 @@ class FaultPlan:
     # -- backend seams -------------------------------------------------
 
     def corrupt(self, weave, interval, flight=None):
-        """Called after an executor seeds the weave queues.  Core-
+        """Called between the weave engine's seeding and its drain
+        (``run_interval``'s ``after_seed`` hook).  Core-
         selector corrupt faults are the *silent* flavor and belong to
         the :meth:`scribble` seam, never to a weave queue."""
         for fault in self.faults:

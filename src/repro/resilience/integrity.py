@@ -24,8 +24,8 @@ three pieces (ISSUE 9):
 * **Online invariant auditor.**  At a configurable stride
   (``--audit-every N``; 0 = off) the sentinel checks structural
   invariants the engine must preserve at every barrier: MESI
-  single-writer and inclusion, cache-array free-way bookkeeping, weave
-  queues drained and horizon floors respected, scheduler run-queue /
+  single-writer and inclusion, cache-array free-way bookkeeping, the
+  weave event heap drained, scheduler run-queue /
   running-slot consistency, and the PR-6 slab/freelist hygiene rules.
   A violation raises :class:`~repro.errors.IntegrityError` carrying the
   component path and a state excerpt.
@@ -84,10 +84,11 @@ def fingerprint_components(sim, deep=False):
             cache.integrity_items(deep=deep))
     digests["mem.mem"] = _crc(hierarchy.mainmem.integrity_items(deep=deep))
     digests["sched"] = _crc(sim.scheduler.integrity_items())
-    if sim.weave is not None:
-        for domain in sim.weave.domains:
+    weave = sim.weave
+    if weave is not None:
+        for domain in weave.domains:
             digests["weave.domain%d" % domain.domain_id] = _crc(
-                domain.integrity_items())
+                domain.integrity_items(weave.queued(domain.domain_id)))
     return digests
 
 
@@ -126,11 +127,12 @@ def audit_invariants(sim):
             "mem.%s" % cache.name))
     if sim.weave is not None:
         for domain in sim.weave.domains:
-            if len(domain._queue):
+            queued = len(sim.weave.queued(domain.domain_id))
+            if queued:
                 violations.append(
                     ("weave.domain%d" % domain.domain_id,
                      "%d event(s) still queued at the interval barrier"
-                     % len(domain._queue)))
+                     % queued))
         # Slab hygiene (PR 6): a pooled event must carry no edges.
         for event in sim.weave.pool._free:
             if event.children:

@@ -243,7 +243,9 @@ class TestRecyclingMatrix:
         attributes, which __setstate__ must default; one written while
         the L2-hit fast path and the flattened walk existed still
         carries their switches, scratch and counter, which
-        __setstate__ must drop."""
+        __setstate__ must drop; one written while each weave domain
+        owned its event queue lacks the engine heap and carries the
+        domains' queues and pop floors."""
         cfg = small_test_system(num_cores=2, core_model="ooo")
         _, baseline = _run(cfg, "weave")
 
@@ -258,7 +260,8 @@ class TestRecyclingMatrix:
         retired = {"enable_flat_walk": True, "enable_l2_fastpath": True,
                    "_walk_caches": [None] * 8, "_walk_idx": [0] * 8,
                    "l2_fastpath_hits": 5}
-        for legacy in ("without slab fields", "with retired fields"):
+        for legacy in ("without slab fields", "with retired fields",
+                       "with per-domain weave queues"):
             capsule = read_checkpoint(latest(str(tmp_path)))
             resumed = ZSim.resume(
                 capsule, wl.make_threads(target_instrs=15_000))
@@ -270,8 +273,19 @@ class TestRecyclingMatrix:
                              "fastpath_hits", "slow_accesses",
                              "ctx_reuses", "result_reuses"):
                     state.pop(attr)
-            else:
+            elif legacy == "with retired fields":
                 state.update(retired)
+            else:
+                weave = resumed.weave
+                weave_state = dict(weave.__dict__)
+                del weave_state["heap"], weave_state["_svc_cache"]
+                weave.__setstate__(weave_state)
+                assert weave.heap == [] and weave._svc_cache == {}
+                for domain in weave.domains:
+                    domain.__setstate__(dict(domain.__dict__, _queue=[],
+                                             _pop_floor=1234))
+                    assert not hasattr(domain, "_queue")
+                    assert not hasattr(domain, "_pop_floor")
             hier.__setstate__(state)
             assert hier._ctx_pool == [] and hier._result_pool == []
             assert hier.enable_fastpath in (True, False)

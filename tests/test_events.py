@@ -1,6 +1,6 @@
-"""Tests for weave events, the event pool, and domains."""
+"""Tests for weave events, the event pool, and domain assignment."""
 
-from repro.core.domains import CoreWeave, Domain, assign_domains
+from repro.core.domains import CoreWeave, assign_domains
 from repro.core.events import EventPool
 from repro.memory.weave import CacheBankWeave
 
@@ -52,30 +52,6 @@ class TestEventPool:
         pool.alloc(None, "B", 0, 0, 0, 0)
         assert pool.recycled == 1
         assert pool.allocated == 5
-
-
-class TestDomain:
-    def test_priority_order(self):
-        domain = Domain(0)
-        domain.push(30, "c")
-        domain.push(10, "a")
-        domain.push(20, "b")
-        assert [domain.pop()[1] for _ in range(3)] == ["a", "b", "c"]
-
-    def test_fifo_tiebreak(self):
-        domain = Domain(0)
-        domain.push(10, "first")
-        domain.push(10, "second")
-        assert domain.pop()[1] == "first"
-
-    def test_current_cycle_tracks_pops(self):
-        domain = Domain(0)
-        domain.push(50, "x")
-        domain.pop()
-        assert domain.current_cycle == 50
-
-    def test_head_cycle_empty(self):
-        assert Domain(0).head_cycle() is None
 
 
 class TestAssignDomains:

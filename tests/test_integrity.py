@@ -181,6 +181,17 @@ class TestAuditor:
             sim.integrity.audit(sim)
         assert info.value.component == "sched"
 
+    def test_event_left_queued_detected(self):
+        """An entry left in the engine heap at a barrier (a drain that
+        stopped early) is charged to its domain."""
+        sim = _sim("serial")
+        sim.run(max_intervals=2)
+        sim.weave.heap.append((123, 0, 1, object()))
+        with pytest.raises(IntegrityError) as info:
+            sim.integrity.audit(sim)
+        assert info.value.component == "weave.domain0"
+        assert "1 event(s) still queued" in info.value.excerpt
+
     def test_integrity_error_is_execution_fault(self):
         err = IntegrityError("boom", component="core0", excerpt="x",
                              interval=3, phase="audit")

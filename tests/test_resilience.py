@@ -134,17 +134,16 @@ class TestFaultPlanGrammar:
     def test_matching_consumes_a_fault_once(self):
         from repro.core.domains import Domain
         plan = FaultPlan.parse("corrupt@2:d0")
-        domain = Domain(0)
-        for cycle in (10, 20):
-            domain.push(cycle, object())
-        weave = types.SimpleNamespace(domains=[domain])
+        heap = [(10, 0, 1, object()), (20, 0, 2, object())]
+        weave = types.SimpleNamespace(domains=[Domain(0)], heap=heap)
         plan.corrupt(weave, 1)  # other interval: no match
         assert plan.remaining() == plan.faults
         plan.corrupt(weave, 2)
         assert plan.remaining() == []
-        queued = list(domain._queue)
-        plan.corrupt(weave, 2)  # consumed: a re-seeded queue is spared
-        assert domain._queue == queued
+        assert heap[-1][0] == 20 - plan.faults[0].DELTA  # the last leaf
+        queued = list(heap)
+        plan.corrupt(weave, 2)  # consumed: a re-seeded heap is spared
+        assert heap == queued
 
     def test_reset_rearms(self):
         plan = FaultPlan.parse("corrupt@2")

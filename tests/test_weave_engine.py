@@ -1,6 +1,12 @@
 """Tests for the weave engine: event graphs, domains, delays, crossings."""
 
+import itertools
+import random
+
+import pytest
+
 from repro.core.domains import CoreWeave
+from repro.core.events import EventPool
 from repro.core.weave import WeaveEngine
 from repro.memory.access import AccessContext, AccessResult, StepKind
 from repro.memory.weave import CacheBankWeave
@@ -189,3 +195,129 @@ class TestJournal:
         # Events execute in nondecreasing start order (single domain).
         starts = [entry[3] for entry in journal]
         assert starts == sorted(starts)
+
+
+# ---------------------------------------------------------------------
+# The one drain vs a brute-force earliest-first reference
+# ---------------------------------------------------------------------
+
+
+class _Port:
+    """A one-port weave component that logs the events it serves, so
+    the service order — which timing depends on — is observable."""
+
+    def __init__(self, name, tile):
+        self.name = name
+        self.tile = tile
+        self.domain = 0
+        self.free_at = 0
+        self.served = []
+
+    def occupy(self, cycle, kind, line=0):
+        self.served.append(line)
+        self.free_at = max(cycle, self.free_at) + 3
+        return self.free_at
+
+
+def _random_dag(rng, comps, num_events):
+    """Events with random lower bounds on random components; edges run
+    from lower to higher index (a DAG), many across domains."""
+    pool = EventPool()
+    events = [pool.alloc(rng.choice(comps), "X", i, rng.randrange(200),
+                         rng.randrange(4), 0) for i in range(num_events)]
+    for i, event in enumerate(events):
+        for child in rng.sample(events[i + 1:],
+                                min(rng.randrange(3), num_events - i - 1)):
+            event.link(child)
+    return events
+
+
+def _reference_drain(events, clocks, crossing_deps, stats):
+    """Linear scan over per-domain lists: the domain with the earliest
+    head (ties to the lowest index) pops its (cycle, push order)
+    minimum.  ``stats[d]`` collects [executed, crossings, requeues]."""
+    queues = [[] for _ in clocks]
+    seq = itertools.count()
+
+    def push(dom, cycle, item):
+        queues[dom].append((cycle, next(seq), item))
+
+    for event in events:
+        if event.parents_left == 0:
+            push(event.component.domain, event.min_cycle, event)
+    for event in events if not crossing_deps else ():
+        for child, gap in event.children:
+            if child.component.domain != event.component.domain:
+                push(child.component.domain, child.min_cycle, (event, gap))
+    while any(queues):
+        dom = min((i for i, q in enumerate(queues) if q),
+                  key=lambda i: (min(queues[i])[0], i))
+        entry = min(queues[dom])
+        queues[dom].remove(entry)
+        cycle, _seq, item = entry
+        clocks[dom] = max(clocks[dom], cycle)
+        if isinstance(item, tuple):  # crossing probe: (parent, gap)
+            parent, gap = item
+            if parent.done is None:
+                stats[dom][2] += 1
+                push(dom, max(cycle + 1, clocks[parent.component.domain]
+                              + max(1, gap)), item)
+            continue
+        item.done = item.component.occupy(max(cycle, item.ready),
+                                          item.kind, item.line)
+        stats[dom][0] += 1
+        for child, gap in item.children:
+            child.parents_left -= 1
+            child.ready = max(child.ready, item.done + gap)
+            if child.parents_left == 0:
+                child_dom = child.component.domain
+                if child_dom != dom:
+                    stats[child_dom][1] += 1
+                push(child_dom, max(child.ready, child.min_cycle), child)
+
+
+class TestOneDrain:
+    """The engine's single heap keyed (cycle, domain, seq) reproduces the
+    per-domain earliest-first scan exactly: service order at every
+    component, every event's completion, and every domain's clock and
+    counters, with crossing probes both off and on."""
+
+    TILES = 4
+
+    def _build(self):
+        comps = []
+        for tile in range(self.TILES):
+            comps.append(CoreWeave("core%d" % tile, tile, tile=tile))
+            comps += [_Port("port%d.%d" % (tile, k), tile) for k in range(2)]
+        cores = [c for c in comps if isinstance(c, CoreWeave)]
+        ports = [c for c in comps if isinstance(c, _Port)]
+        return WeaveEngine(cores, ports, num_tiles=self.TILES), comps
+
+    @pytest.mark.parametrize("crossing_deps", (True, False))
+    @pytest.mark.parametrize("seed", range(12))
+    def test_heap_drain_matches_linear_scan(self, seed, crossing_deps):
+        engine, comps = self._build()
+        engine.crossing_deps = crossing_deps
+        _ref_engine, ref_comps = self._build()  # assigns ref domains
+        clocks = [0] * self.TILES
+        rng = random.Random(seed)
+        for _interval in range(3):
+            num_events = rng.randrange(5, 60)
+            dag_seed = rng.randrange(1 << 30)
+            events = _random_dag(random.Random(dag_seed), comps, num_events)
+            ref_events = _random_dag(random.Random(dag_seed), ref_comps,
+                                     num_events)
+            engine._drain(events, None)
+            stats = [[0, 0, 0] for _ in clocks]
+            _reference_drain(ref_events, clocks, crossing_deps, stats)
+
+            assert engine.heap == []
+            assert [e.done for e in events] == [e.done for e in ref_events]
+            for comp, ref in zip(comps, ref_comps):
+                assert getattr(comp, "served", None) == \
+                    getattr(ref, "served", None), comp.name
+            assert [(d.current_cycle, d.events_executed, d.crossings,
+                     d.crossing_requeues) for d in engine.domains] == \
+                [(clock, *counts) for clock, counts in zip(clocks, stats)]
+        if not crossing_deps:
+            assert sum(d.crossing_requeues for d in engine.domains) > 0
