@@ -150,9 +150,8 @@ class Cache:
         arrival = ctx.latency
         ctx.latency = arrival + self.latency
         array = self.array
-        idx = (line % array.num_sets if not array.hash_sets
-               else array.set_index(line))
-        entry = array._lines[idx].get(line)
+        lines = array._lines
+        entry = lines.get(line)
         if entry is None:
             self.misses += 1
             ctx.missed_levels.append(self.level)
@@ -160,7 +159,8 @@ class Cache:
                 ctx.steps.append((self.weave, arrival, StepKind.MISS))
             state = self._fetch_and_fill(line, write, ctx)
         else:
-            array._repl[idx].touch(entry[0])
+            array._repl.touch(line % array.num_sets if not array.hash_sets
+                              else array.set_index(line), entry[0])
             state = entry[1]
             self.hits += 1
             if ctx.hit_level is None:
@@ -174,13 +174,13 @@ class Cache:
                 ctx.latency += net
                 parent.acquire_exclusive(line, self, ctx)
                 state = _MESI_E
-                array._lines[idx][line] = (entry[0], state)
+                lines[line] = (entry[0], state)
         if self.children:
             return self._grant_to_child(line, write, requester, state, ctx)
         # Leaf (L1): apply the access to our own copy.
         if write:
             state = _MESI_M
-            array._lines[idx][line] = (array._lines[idx][line][0], state)
+            lines[line] = (lines[line][0], state)
         return state
 
     def _fetch_and_fill(self, line, write, ctx):

@@ -325,24 +325,24 @@ class MemoryHierarchy:
         l1 = self.l1i[core_id] if ifetch else self.l1d[core_id]
         if self.enable_fastpath:
             array = l1.array
-            # Private L1 arrays are unhashed in every shipped config;
-            # inline that set-index case.
-            idx = (line % array.num_sets if not array.hash_sets
-                   else array.set_index(line))
-            entry = array._lines[idx].get(line)
+            entry = array._lines.get(line)
             if entry is not None and (not write or entry[1] >= _MESI_E):
                 way = entry[0]
-                repl = array._repl[idx]
+                # Private L1 arrays are unhashed in every shipped
+                # config; inline that set-index case.
+                idx = (line % array.num_sets if not array.hash_sets
+                       else array.set_index(line))
+                repl = array._repl
                 if type(repl) is _LRU:
                     # LRU.touch, inlined (one stamp store).
-                    repl._stamp[way] = repl._clock
+                    repl._stamps[idx][way] = repl._clock
                     repl._clock += 1
                 else:
-                    repl.touch(way)
+                    repl.touch(idx, way)
                 l1.accesses += 1
                 l1.hits += 1
                 if write:
-                    array._lines[idx][line] = (way, _MESI_M)
+                    array._lines[line] = (way, _MESI_M)
                 self.fastpath_hits += 1
                 pool = self._result_pool
                 if pool:

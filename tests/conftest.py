@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.config import small_test_system
 from repro.isa.opcodes import Opcode
 from repro.isa.program import BBLExec, Instruction, Program
 from repro.isa.registers import gp
+from repro.memory.replacement import LRU, RandomRepl, TreePLRU
 
 
 def build_program(num_blocks=1, body=None):
@@ -63,3 +66,38 @@ def tiny_config():
 @pytest.fixture
 def tiny_ooo_config():
     return small_test_system(num_cores=2, core_model="ooo")
+
+
+def per_set_array_state(array, recency_lists=False):
+    """``array``'s pickled state in the per-set form older builds
+    wrote: one line dict, way list and policy object per set, and no
+    lazily made state.  LRU sets carry stamps, or with
+    ``recency_lists`` the still older recency-list ``_order``."""
+    ways, repl = array.ways, array._repl
+    lines = [dict() for _ in range(array.num_sets)]
+    for line, entry in array._lines.items():
+        lines[array.set_index(line)][line] = entry
+    policies = []
+    for idx in range(array.num_sets):
+        old = type(repl).__new__(type(repl))
+        if isinstance(repl, LRU):
+            stamp = list(repl._stamps.get(idx, range(ways)))
+            if recency_lists:
+                old.__dict__.update(ways=ways, _order=sorted(
+                    range(ways), key=stamp.__getitem__))
+            else:
+                old.__dict__.update(ways=ways, _stamp=stamp,
+                                    _clock=repl._clock)
+        elif isinstance(repl, TreePLRU):
+            bits = repl._bits.get(idx, [0] * max(1, ways - 1))
+            old.__dict__.update(ways=ways, _bits=list(bits))
+        else:
+            assert isinstance(repl, RandomRepl)
+            rng = repl._rngs.get(idx) or random.Random(repl.seed + idx)
+            old.__dict__.update(ways=ways, _rng=rng)
+        policies.append(old)
+    return {"num_sets": array.num_sets, "hash_sets": array.hash_sets,
+            "ways": ways, "_lines": lines,
+            "_ways": [list(array._sets.get(idx, [None] * ways))
+                      for idx in range(array.num_sets)],
+            "_repl": policies, "_free": list(array._free)}

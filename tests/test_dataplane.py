@@ -21,7 +21,12 @@ from repro.resilience import Checkpointer, latest, read_checkpoint
 from repro.stats import assert_equivalent
 from repro.workloads import mt_workload, spec_workload
 
-from conftest import alu_block, build_program, mem_block
+from conftest import (
+    alu_block,
+    build_program,
+    mem_block,
+    per_set_array_state,
+)
 
 
 # ---------------------------------------------------------------------
@@ -291,14 +296,15 @@ class TestRecyclingMatrix:
             assert hier.enable_fastpath in (True, False)
             for attr in retired:
                 assert not hasattr(hier, attr), (legacy, attr)
-            # And an array pickled without free-way counts recomputes
-            # them.
+            # And an array pickled in the eager per-set form without
+            # free-way counts recomputes them.
             array = hier.l1d[0].array
-            array_state = dict(array.__dict__)
+            want_free = list(array._free)
+            array_state = per_set_array_state(array)
             array_state.pop("_free")
             array.__setstate__(array_state)
-            assert array._free == [sum(w is None for w in ways)
-                                   for ways in array._ways]
+            assert isinstance(array._lines, dict)
+            assert array._free == want_free
             assert_equivalent(_stats_tree(resumed.run()), baseline,
                               ignore=("host",),
                               context="old capsule %s vs straight run"

@@ -31,6 +31,8 @@ from repro.resilience.integrity import IntegritySentinel
 from repro.stats import assert_equivalent
 from repro.workloads import mt_workload
 
+from conftest import per_set_array_state
+
 
 # ---------------------------------------------------------------------
 # Reference (pre-refactor) directory implementations
@@ -334,7 +336,8 @@ class TestBitmaskDirectoryLockstep:
 def _write_legacy_capsule(src_path, dst_path):
     """Rewrite a capsule into the pre-refactor on-disk form: directory
     entries as object graphs, no child ids, no dir odometer, no main
-    memory controller tables, and recency-list LRU state."""
+    memory controller tables, and eager per-set arrays with
+    recency-list LRU state."""
     capsule = read_checkpoint(src_path)
     sim = capsule["sim"]
     hier = sim.hierarchy
@@ -359,14 +362,12 @@ def _write_legacy_capsule(src_path, dst_path):
     for attr in ("_num_ctrls", "_zero_load", "_ctrl_tiles",
                  "_net_to_ctrl"):
         mem.__dict__.pop(attr, None)
-    # Pre-refactor LRU kept a recency list; rewrite stamps back.
+    # Pre-refactor arrays were eager per-set lists, and their LRU kept
+    # a recency list per set.
     for cache in hier.all_caches():
-        for repl in cache.array._repl:
-            if isinstance(repl, LRU):
-                stamp = repl.__dict__.pop("_stamp")
-                repl.__dict__.pop("_clock")
-                repl.__dict__["_order"] = sorted(
-                    range(len(stamp)), key=stamp.__getitem__)
+        legacy = per_set_array_state(cache.array, recency_lists=True)
+        cache.array.__dict__.clear()
+        cache.array.__dict__.update(legacy)
     capsule["sim"] = pickle.dumps(sim, protocol=pickle.HIGHEST_PROTOCOL)
     body = pickle.dumps(capsule, protocol=pickle.HIGHEST_PROTOCOL)
     header = b"%s %d %08x\n" % (MAGIC, FORMAT_VERSION,
@@ -415,8 +416,9 @@ class TestLegacyCapsuleMigration:
         assert all(isinstance(m, int)
                    for m in hier.mainmem._sharers.values())
         assert hier.mainmem._net_to_ctrl is not None
-        l1_repl = hier.l1d[0].array._repl[0]
-        assert isinstance(l1_repl, LRU) and hasattr(l1_repl, "_stamp")
+        l1_array = hier.l1d[0].array
+        assert isinstance(l1_array._repl, LRU) and l1_array._repl._stamps
+        assert set(l1_array._repl._stamps) == set(l1_array._sets)
 
         resumed = ZSim.resume(capsule, threads())
         got = resumed.run().stats().to_dict()
